@@ -1,205 +1,67 @@
-// Intra-run parallelism scenario (DESIGN.md §11): the sharded multibatch
-// round core and the SoA ensemble engine.
+// The multibatch work-profile scenario: one dense hawk-dove trajectory on a
+// solo multibatch engine, gated on its seed-deterministic work counters —
+// rounds started, collisions resolved, and the aggregation factor
+// interactions / (rounds + collisions), ~sqrt(n) on any kernel. The
+// counters are identical on every machine at a fixed (smoke, seed) and at
+// any --threads setting (a trajectory always runs on one thread), so an
+// exact-value drift surfaces in the refresh diff and a real regression
+// (lost aggregation) fails the gate. The scenario keeps its historical
+// name so the committed baseline keeps tracking these metrics.
 //
-//  - Sharded rounds: one dense hawk-dove trajectory advanced by multibatch
-//    engines at 1 / 2 / 8 shard threads. The decomposition is a fixed law
-//    (shard count is a function of the round length, never the thread
-//    count), so the full snapshots — census, counters, residual carry, RNG
-//    position — must be bitwise identical; that pass flag and the engine's
-//    seed-deterministic work counters (rounds, collisions, aggregation
-//    factor) are the gated metrics.
-//  - Ensemble: R lockstep replicas on SoA planes, checked bitwise against
-//    R solo multibatch engines under the batch_runner stream law, and for
-//    thread-count independence; ensemble totals gate alongside the flags.
-//
-// Wall-clock rates and speedups (shards > 1 vs 1, ensemble vs solo loop)
-// are recorded for the trajectory but carry no regression goal: CI core
-// counts and cache hierarchies vary, so only seed-deterministic quantities
-// gate — the same split every perf scenario here uses.
+// The interactions/s rate is recorded for the trajectory but carries no
+// regression goal: CI hardware varies, so only seed-deterministic
+// quantities gate.
 #include <cstdint>
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "ppg/exp/scenario.hpp"
 #include "ppg/games/game_matrix.hpp"
 #include "ppg/games/game_protocol.hpp"
 #include "ppg/games/update_rule.hpp"
-#include "ppg/pp/engine.hpp"
-#include "ppg/pp/ensemble_engine.hpp"
 #include "ppg/pp/multibatch_engine.hpp"
-#include "ppg/util/rng.hpp"
-#include "ppg/util/table.hpp"
 #include "ppg/util/timer.hpp"
 
 namespace {
 
 using namespace ppg;
 
-/// Dense two-way hawk-dove: every pair randomizes both sides, so every
-/// round exercises the MVH tables, the multinomial splits, and the merge.
-game_protocol dense_proto() {
-  return {hawk_dove_matrix(1.0, 2.0),
-          std::make_shared<logit_response_rule>(0.5),
-          revision_discipline::two_way};
-}
-
-std::vector<std::uint64_t> half_split(std::uint64_t n) {
-  return {n / 2, n - n / 2};
-}
-
-scenario_result run_parallel(const scenario_context& ctx) {
+scenario_result run_multibatch_profile(const scenario_context& ctx) {
   scenario_result result;
-  const auto proto = dense_proto();
-
-  // --- Sharded multibatch rounds -------------------------------------
+  // Dense two-way hawk-dove: every pair randomizes both sides, so every
+  // round exercises the MVH tables and the multinomial splits.
+  const game_protocol proto(hawk_dove_matrix(1.0, 2.0),
+                            std::make_shared<logit_response_rule>(0.5),
+                            revision_discipline::two_way);
   const std::uint64_t n = ctx.pick<std::uint64_t>(8'000'000, 1'000'000);
   const std::uint64_t steps = ctx.pick<std::uint64_t>(4'000'000, 400'000);
   result.param("n", n);
   result.param("steps", steps);
   result.param("game", "hawk-dove v=1 c=2, logit tau=0.5, two-way");
 
-  auto& shard_table = result.table(
-      "sharded multibatch rounds: one seed, one trajectory, varying shard "
-      "threads\n(snapshots must be bitwise identical)",
-      {"shard threads", "interactions/s", "identical"});
-  std::string reference_state;
-  double base_rate = 0.0;
-  bool shard_deterministic = true;
-  std::uint64_t rounds = 0;
-  std::uint64_t collisions = 0;
-  for (const std::size_t threads : {std::size_t{1}, std::size_t{2},
-                                    std::size_t{8}}) {
-    multibatch_engine engine(proto, half_split(n), ctx.make_rng(1));
-    engine.set_shards(threads);
-    const timer clock;
-    engine.run(steps);
-    const double rate = static_cast<double>(steps) / clock.seconds();
-    const std::string state = engine.save_state().dump_string(false);
-    if (threads == 1) {
-      reference_state = state;
-      base_rate = rate;
-      rounds = engine.rounds();
-      collisions = engine.collisions();
-    } else if (state != reference_state) {
-      shard_deterministic = false;
-    }
-    result.metric("ips_sharded_t" +
-                      format_metric(static_cast<double>(threads)),
-                  rate);
-    shard_table.add_row({format_metric(static_cast<double>(threads)),
-                         format_metric(rate, 4),
-                         state == reference_state ? "yes" : "NO"});
-  }
-  result.metric("shard_determinism", shard_deterministic ? 1.0 : 0.0,
+  multibatch_engine engine(proto, {n / 2, n - n / 2}, ctx.make_rng(1));
+  const timer clock;
+  engine.run(steps);
+  result.metric("ips_multibatch", static_cast<double>(steps) / clock.seconds());
+  result.metric("mb_rounds", static_cast<double>(engine.rounds()),
                 metric_goal::maximize);
-  // The engine's seed-deterministic work profile: identical on every
-  // machine at a fixed (smoke, seed), so exact-value drifts surface in the
-  // refresh diff and real regressions (lost aggregation) gate.
-  result.metric("mb_rounds", static_cast<double>(rounds),
-                metric_goal::maximize);
-  result.metric("mb_collisions", static_cast<double>(collisions),
+  result.metric("mb_collisions", static_cast<double>(engine.collisions()),
                 metric_goal::maximize);
   result.metric("mb_aggregation_factor",
                 static_cast<double>(steps) /
-                    static_cast<double>(rounds + collisions),
+                    static_cast<double>(engine.rounds() + engine.collisions()),
                 metric_goal::maximize);
-
-  // --- SoA ensemble engine -------------------------------------------
-  const std::uint64_t en = ctx.pick<std::uint64_t>(1'000'000, 200'000);
-  const std::size_t replicas = ctx.pick<std::size_t>(48, 12);
-  const std::uint64_t esteps = ctx.pick<std::uint64_t>(250'000, 50'000);
-  const std::uint64_t master = derive_stream_seed(ctx.seed, 7);
-  result.param("ensemble_n", en);
-  result.param("ensemble_replicas", replicas);
-  result.param("ensemble_steps_per_replica", esteps);
-  const sim_spec spec(proto, half_split(en));
-
-  // R solo multibatch engines under the batch_runner stream law: the
-  // bitwise reference for the ensemble, and the baseline its shared
-  // kernel + birthday table + contiguous planes are measured against.
-  std::vector<std::vector<std::uint64_t>> solo_census(replicas);
-  const timer solo_clock;
-  for (std::size_t r = 0; r < replicas; ++r) {
-    rng gen = make_stream_rng(master, r);
-    const auto engine = spec.make_engine(engine_kind::multibatch, gen);
-    engine->run(esteps);
-    solo_census[r] = engine->census().counts();
-  }
-  const double solo_seconds = solo_clock.seconds();
-
-  auto& ensemble_table = result.table(
-      "SoA ensemble vs a loop of solo multibatch engines (same master "
-      "seed,\nsame stream law; replicas must be bitwise twins)",
-      {"path", "threads", "total interactions/s", "twins"});
-  const double total_steps =
-      static_cast<double>(replicas) * static_cast<double>(esteps);
-  ensemble_table.add_row({"solo loop", "1",
-                          format_metric(total_steps / solo_seconds, 4),
-                          "reference"});
-  result.metric("ips_solo_loop", total_steps / solo_seconds);
-
-  bool ensemble_twins = true;
-  bool thread_deterministic = true;
-  double ensemble_base_rate = 0.0;
-  std::uint64_t ensemble_rounds = 0;
-  std::uint64_t ensemble_collisions = 0;
-  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-    ensemble_engine ensemble(proto, half_split(en), master, replicas);
-    ensemble.set_threads(threads);
-    const timer clock;
-    ensemble.run(esteps);
-    const double rate = total_steps / clock.seconds();
-    bool twins = true;
-    for (std::size_t r = 0; r < replicas; ++r) {
-      if (ensemble.replica_census(r) != solo_census[r]) twins = false;
-    }
-    if (threads == 1) {
-      ensemble_base_rate = rate;
-      ensemble_rounds = ensemble.total_rounds();
-      ensemble_collisions = ensemble.total_collisions();
-      ensemble_twins = twins;
-    } else if (!twins) {
-      // Solo equality at one thread count plus cross-thread equality is
-      // the full contract; a mismatch here is a thread-determinism break.
-      thread_deterministic = false;
-    }
-    result.metric("ips_ensemble_t" +
-                      format_metric(static_cast<double>(threads)),
-                  rate);
-    ensemble_table.add_row({"ensemble",
-                            format_metric(static_cast<double>(threads)),
-                            format_metric(rate, 4), twins ? "yes" : "NO"});
-  }
-  result.metric("ensemble_twins", ensemble_twins ? 1.0 : 0.0,
-                metric_goal::maximize);
-  result.metric("ensemble_thread_determinism",
-                thread_deterministic ? 1.0 : 0.0, metric_goal::maximize);
-  result.metric("ensemble_total_rounds",
-                static_cast<double>(ensemble_rounds), metric_goal::maximize);
-  result.metric("ensemble_total_collisions",
-                static_cast<double>(ensemble_collisions),
-                metric_goal::maximize);
-
-  // Wall-clock-derived ratios: trajectory only, no goals (hardware-bound).
-  result.metric("speedup_sharded_t8_vs_t1",
-                result.metric_value("ips_sharded_t8") / base_rate);
-  result.metric("speedup_ensemble_vs_solo_loop",
-                ensemble_base_rate *
-                    (solo_seconds / total_steps));
   result.note(
-      "Expected shape: bitwise-identical snapshots at every shard thread "
-      "count\n(shard_determinism = 1), bitwise replica twins and "
-      "thread-independence for\nthe ensemble (ensemble_twins = "
-      "ensemble_thread_determinism = 1), and\nwall-clock speedups that "
-      "track the host's core count (informational only).");
+      "Expected shape: rounds ~ collisions (every round but a truncated "
+      "last one\nends in a collision) and an aggregation factor of order "
+      "sqrt(n).");
   return result;
 }
 
 [[maybe_unused]] const bool registered = register_scenario(
-    "p1_parallel_engines", "parallel,threads,engines,multibatch,perf",
-    "Sharded multibatch determinism across thread counts and the SoA "
-    "ensemble engine vs solo replication",
-    run_parallel);
+    "p1_parallel_engines", "engines,multibatch,perf",
+    "Multibatch work profile on one dense hawk-dove trajectory: rounds, "
+    "collisions, aggregation factor",
+    run_multibatch_profile);
 
 }  // namespace

@@ -21,9 +21,7 @@
 // recorded without a regression goal: CI hardware varies, so only
 // seed-deterministic quantities (here: the thread-determinism flag) gate
 // the regression check — see scripts/check_bench.py.
-#include <algorithm>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "ppg/core/igt_count_chain.hpp"
@@ -38,8 +36,6 @@
 #include "ppg/games/rollout.hpp"
 #include "ppg/games/update_rule.hpp"
 #include "ppg/pp/engine.hpp"
-#include "ppg/pp/ensemble_engine.hpp"
-#include "ppg/pp/multibatch_engine.hpp"
 #include "ppg/util/table.hpp"
 #include "ppg/util/timer.hpp"
 
@@ -214,46 +210,6 @@ scenario_result run_engines(const scenario_context& ctx) {
                   ips);
     games_table.add_row({row.game, engine_kind_name(row.kind),
                          fmt_count(row.n), format_metric(ips, 4)});
-  }
-
-  // Intra-run parallelism (DESIGN.md §11) on the dense hawk-dove workload:
-  // the sharded multibatch round core at the host's thread count, and the
-  // SoA ensemble engine's aggregate rate. Wall-clock only — the bitwise
-  // determinism gates for both paths live in p1_parallel_engines.
-  const std::size_t hw =
-      std::max<std::size_t>(1, std::thread::hardware_concurrency());
-  auto& par_table = result.table(
-      "intra-run parallelism on dense hawk-dove (wall-clock only; "
-      "determinism\ngates live in p1_parallel_engines)",
-      {"path", "threads", "n", "interactions/s"});
-  for (const auto pn :
-       {std::uint64_t{1'000'000}, std::uint64_t{100'000'000}}) {
-    if (pn == 100'000'000 && ctx.smoke) continue;
-    multibatch_engine engine(hd_proto, {pn / 2, pn - pn / 2},
-                             ctx.make_rng(pn + 31));
-    engine.set_shards(hw);
-    constexpr std::uint64_t chunk = 65536;
-    const double ips = measure_rate(
-        [&] { engine.run(chunk); }, static_cast<double>(chunk), min_seconds);
-    result.metric(
-        "ips_hawk_dove_multibatch_sharded_n" + std::to_string(pn), ips);
-    par_table.add_row({"multibatch sharded", std::to_string(hw),
-                       fmt_count(pn), format_metric(ips, 4)});
-  }
-  {
-    constexpr std::size_t replicas = 16;
-    constexpr std::uint64_t en = 1'000'000;
-    ensemble_engine ensemble(hd_proto, {en / 2, en - en / 2},
-                             derive_stream_seed(ctx.seed, 61), replicas);
-    ensemble.set_threads(hw);
-    constexpr std::uint64_t chunk = 8192;
-    const double ips = measure_rate(
-        [&] { ensemble.run(chunk); },
-        static_cast<double>(replicas) * static_cast<double>(chunk),
-        min_seconds);
-    result.metric("ips_hawk_dove_ensemble_r16_n" + std::to_string(en), ips);
-    par_table.add_row({"ensemble x16", std::to_string(hw), fmt_count(en),
-                       format_metric(ips, 4)});
   }
 
   // Cross-engine ratios land in the trajectory but carry no regression

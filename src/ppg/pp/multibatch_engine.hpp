@@ -36,10 +36,9 @@
 // per-pair path, so small populations degrade gracefully to exactly the
 // census engine's per-interaction cost.
 //
-// Steps 2–3 are decomposed into fixed-law shards executed by the round core
-// (pp/multibatch_round.hpp, DESIGN.md §11): set_shards() chooses how many
-// threads execute them, and the trajectory is bit-identical at every
-// setting, checkpoints included.
+// Step 2 splits each aggregate application into at most 16 shard sub-draws
+// (shard_count below, DESIGN.md §8): part of the v1 sampling law, executed
+// inline in shard order on one thread.
 #pragma once
 
 #include <cstdint>
@@ -48,7 +47,7 @@
 
 #include "ppg/pp/engine.hpp"
 #include "ppg/pp/kernel.hpp"
-#include "ppg/pp/multibatch_round.hpp"
+#include "ppg/stats/discrete_sampling.hpp"
 
 namespace ppg {
 
@@ -84,13 +83,6 @@ class multibatch_engine final : public sim_engine {
     return engine_kind::multibatch;
   }
 
-  /// Number of threads executing the round core's shard sub-draws; <= 1
-  /// (the default) runs them inline. The decomposition itself is a fixed
-  /// law — the trajectory, draw for draw, and every snapshot are
-  /// bit-identical at any setting (pp/multibatch_round.hpp).
-  void set_shards(std::size_t threads) { executor_.set_threads(threads); }
-  [[nodiscard]] std::size_t shards() const { return executor_.threads(); }
-
   /// Aggregated rounds started and collisions resolved so far: the engine's
   /// seed-deterministic work metric. interactions() / (rounds() +
   /// collisions()) is the aggregation factor — ~sqrt(n) on any kernel.
@@ -115,10 +107,19 @@ class multibatch_engine final : public sim_engine {
   /// round/collision counters, and the residual-round carry
   /// (pending_free / collision_pending) — a checkpoint taken inside a
   /// budget-truncated round resumes the same round, same law, same draws.
-  /// Sharding adds no persistent state (shard streams are derived per
-  /// aggregate application), so the schema is shard-count-independent.
+  /// Shard streams are derived per aggregate application, so shards add no
+  /// persistent state. restore_state validates the exact key set, the
+  /// state_version, the width/population/state-space agreement and the
+  /// round-state invariants, and leaves the engine untouched on failure.
   [[nodiscard]] json save_state() const override;
   void restore_state(const json& snapshot) override;
+
+  /// The shard-decomposition law: how many sub-draws a collision-free run
+  /// of `free` pairs splits into, L = clamp(free / max(512, threshold), 1,
+  /// 16). A fixed function of the run length and the aggregate threshold,
+  /// so it is part of the trajectory's draw sequence (DESIGN.md §8).
+  [[nodiscard]] static std::uint64_t shard_count(
+      std::uint64_t free, std::uint64_t aggregate_threshold);
 
  private:
   /// Debug-asserted structural invariants of the round state (pool sums,
@@ -126,6 +127,18 @@ class multibatch_engine final : public sim_engine {
   /// compiled out in Release. restore_state enforces the same relations
   /// unconditionally via PPG_CHECK.
   void check_round_invariants() const;
+
+  void apply_free_sequential(std::uint64_t free);
+  void apply_free_aggregate(std::uint64_t free);
+  /// Draws `draws` agents from the untouched pool into `out` (one
+  /// multivariate hypergeometric on the master stream) and removes them.
+  void take_untouched(std::uint64_t draws, std::vector<std::uint64_t>& out);
+  /// One shard: matches initiators_ against responders_ by conditional MVH
+  /// rows and splits each pair type's outcomes, all on `gen` (the shard's
+  /// derived stream), applying the result to the census and touched pool.
+  void run_shard(rng& gen);
+  void apply_pair_type(agent_state u, agent_state v, std::uint64_t m, rng& gen);
+  void resolve_collision();
 
   std::shared_ptr<const kernel_table> kernel_;
   std::vector<std::uint64_t> counts_;     ///< current census
@@ -141,37 +154,16 @@ class multibatch_engine final : public sim_engine {
   /// it reaches 0 with collision_pending_, the next interaction collides.
   std::uint64_t pending_free_ = 0;
   bool collision_pending_ = false;
-  multibatch_executor executor_;  ///< the shared round core
+  /// Runs below this take the sequential per-pair path (the O(q^2)
+  /// aggregate tables would cost more than per-pair sampling).
+  std::uint64_t aggregate_threshold_;
+  collision_run_sampler birthday_;  ///< tabulated once per population size
+  // Per-round scratch, reused across rounds.
+  std::vector<std::uint64_t> initiators_;  ///< one shard's initiator census
+  std::vector<std::uint64_t> responders_;  ///< one shard's responder census
+  std::vector<std::uint64_t> row_;         ///< one matching row
+  std::vector<double> probs_;              ///< outcome-split probabilities
+  std::vector<std::uint64_t> split_;       ///< multinomial outcome counts
 };
-
-/// One multibatch engine's complete dynamical state, decoded from or
-/// encoded into the solo v1 snapshot schema (DESIGN.md §9). This is also
-/// the ensemble engine's per-replica serialization unit: each entry of an
-/// ensemble snapshot's "replicas" array is exactly this schema, so a
-/// replica's entry restores into a solo engine and a solo snapshot slots
-/// into an ensemble (DESIGN.md §11).
-struct multibatch_snapshot {
-  std::vector<std::uint64_t> counts;
-  std::vector<std::uint64_t> untouched;
-  std::vector<std::uint64_t> touched;
-  std::uint64_t untouched_total = 0;
-  std::uint64_t interactions = 0;
-  std::uint64_t rounds = 0;
-  std::uint64_t collisions = 0;
-  std::uint64_t pending_free = 0;
-  bool collision_pending = false;
-  rng gen;
-};
-
-/// Serializes to the solo multibatch schema, canonical key order.
-[[nodiscard]] json dump_multibatch_snapshot(const multibatch_snapshot& state);
-
-/// Parses and validates a solo multibatch snapshot: exact key set, known
-/// state_version, engine == "multibatch", width/population/state-space
-/// agreement, and the round-state invariants (pools partition the census,
-/// residual carry consistent). Throws invariant_error on any violation.
-[[nodiscard]] multibatch_snapshot parse_multibatch_snapshot(
-    const json& snapshot, std::size_t width, std::uint64_t n,
-    std::size_t num_states);
 
 }  // namespace ppg

@@ -43,9 +43,9 @@ namespace ppg {
     const std::vector<std::uint64_t>& counts, std::uint64_t draws, rng& gen);
 
 /// Allocation-free form of the multivariate hypergeometric draw over a raw
-/// census slice (the ensemble engine's SoA planes and the sharded
-/// multibatch's per-shard splits): writes the per-category counts into
-/// `out[0..size)`. Draw-for-draw identical to the vector overload.
+/// census slice (the multibatch round's per-shard splits and matching
+/// rows): writes the per-category counts into `out[0..size)`. Draw-for-draw
+/// identical to the vector overload.
 void sample_multivariate_hypergeometric(const std::uint64_t* counts,
                                         std::size_t size, std::uint64_t draws,
                                         rng& gen, std::uint64_t* out);
@@ -73,8 +73,8 @@ void sample_multinomial(std::uint64_t m, const double* probs,
 /// finest level a 53-bit uniform can resolve after ~sqrt(19 n) pairs — so
 /// each draw is one uniform plus a binary search with no lgamma calls
 /// (previously ~2 lgammas per probe, the dominant per-round cost on dense
-/// low-q games). The table depends only on n: one sampler is shared across
-/// every replica of an ensemble and across all rounds of a trajectory.
+/// low-q games). The table depends only on n, so an engine builds it once
+/// and reuses it for every round of its trajectory.
 class collision_run_sampler {
  public:
   explicit collision_run_sampler(std::uint64_t n);

@@ -11,8 +11,9 @@ namespace ppg {
 
 /// Thread-safe log Γ(x). std::lgamma is NOT reentrant on glibc (it writes
 /// the process-global `signgam`), which is a data race once samplers run on
-/// shard workers; every lgamma in the library goes through this wrapper,
-/// which uses the reentrant lgamma_r where the platform provides it.
+/// concurrent batch_runner or ppg-serve workers; every lgamma in the library
+/// goes through this wrapper, which uses the reentrant lgamma_r where the
+/// platform provides it.
 [[nodiscard]] double log_gamma(double x);
 
 /// log of the binomial coefficient C(n, k).

@@ -4,9 +4,11 @@
 // depend on scheduling — the pool only promises that every submitted task
 // runs exactly once and that wait_idle() observes all side effects; (2) zero
 // dependencies beyond <thread>; (3) graceful teardown (the destructor drains
-// the queue). Throughput niceties (work stealing, task batching) are left to
-// future scaling PRs — the batch engine amortizes task-queue overhead by
-// submitting one task per worker, not one per replica.
+// the queue). There is no work stealing or task batching: every caller
+// submits coarse tasks — batch_runner and resumable sweeps one per worker,
+// not one per replica, and the ppg-serve scheduler one per advance slice —
+// so queue overhead is negligible. Tasks always own whole engines: no
+// single trajectory is ever split across threads.
 #pragma once
 
 #include <condition_variable>
@@ -37,19 +39,6 @@ class thread_pool {
 
   /// Blocks until the queue is empty and no task is executing.
   void wait_idle();
-
-  /// Runs `body(worker, index)` exactly once for every index in [0, count),
-  /// spread across min(size(), count) pool tasks, and blocks the caller
-  /// until all indices have finished. `worker` is the task's slot in
-  /// [0, min(size(), count)) — stable for the task's lifetime, so callers
-  /// can hand each concurrent task its own scratch buffer. Indices are
-  /// claimed from a shared counter, so which worker runs which index is
-  /// scheduling-dependent; only use `worker` for scratch, never for
-  /// index-dependent results. Completion is tracked per call (not via
-  /// wait_idle), so a shared pool with unrelated queued tasks still works.
-  void run_sharded(std::size_t count,
-                   const std::function<void(std::size_t worker,
-                                            std::size_t index)>& body);
 
   [[nodiscard]] std::size_t size() const { return workers_.size(); }
 

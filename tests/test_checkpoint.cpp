@@ -241,55 +241,74 @@ TEST(Checkpoint, BitExactResumeRumor) {
   }
 }
 
+const char* dense_hawk_dove_recipe_text() {
+  return R"({"protocol": {"name": "matrix-game",
+                          "params": {"game": {"name": "hawk-dove",
+                                              "value": 1.0, "cost": 2.0},
+                                     "rule": {"name": "logit",
+                                              "temperature": 0.5},
+                                     "discipline": "two_way"}},
+    "initial_counts": [4000000, 4000000], "sampling": "distinct"})";
+}
+
 // The multibatch engine's rounds span ~sqrt(n) interactions, so a run()
 // budget routinely truncates a round mid-flight; the carry (pending free
 // pairs + the unresolved collision split) must survive the checkpoint.
+// Two regimes: rumor at n = 300 with chunks of 7 applies every free run on
+// the sequential per-pair path; dense hawk-dove at n = 8e6 (rounds of ~1800
+// collision-free pairs) with chunks of 1500 takes the aggregate path,
+// including two-shard applications, on both sides of the cut.
 TEST(Checkpoint, MultibatchResumesMidResidualRound) {
-  const sim_recipe recipe =
-      sim_recipe::from_json(json::parse(rumor_recipe_text()));
-  constexpr std::uint64_t chunk = 7;  // far below a round length at n=300
+  const struct {
+    const char* recipe_text;
+    std::uint64_t chunk;
+  } cases[] = {{rumor_recipe_text(), 7}, {dense_hawk_dove_recipe_text(), 1500}};
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.recipe_text);
+    const sim_recipe recipe = sim_recipe::from_json(json::parse(c.recipe_text));
 
-  rng gen_full(604);
-  const auto full = recipe.spec().make_engine(engine_kind::multibatch,
-                                              gen_full);
-  rng gen_cut(604);
-  const auto cut = recipe.spec().make_engine(engine_kind::multibatch,
-                                             gen_cut);
+    rng gen_full(604);
+    const auto full = recipe.spec().make_engine(engine_kind::multibatch,
+                                                gen_full);
+    rng gen_cut(604);
+    const auto cut = recipe.spec().make_engine(engine_kind::multibatch,
+                                               gen_cut);
 
-  // Advance both twins in lockstep until the cut engine is mid-round with
-  // free pairs still pending.
-  const auto* mb = dynamic_cast<const multibatch_engine*>(cut.get());
-  ASSERT_NE(mb, nullptr);
-  bool found = false;
-  for (int i = 0; i < 200 && !found; ++i) {
-    full->run(chunk);
-    cut->run(chunk);
-    found = mb->residual_free() > 0;
-  }
-  ASSERT_TRUE(found) << "never saw a truncated round with pending pairs";
-  ASSERT_TRUE(mb->mid_round());
-
-  const std::string file = save_checkpoint(recipe, *cut).dump_string();
-  restored_sim resumed = restore_checkpoint(json::parse(file));
-  const auto* rmb =
-      dynamic_cast<const multibatch_engine*>(resumed.engine.get());
-  ASSERT_NE(rmb, nullptr);
-  EXPECT_EQ(rmb->residual_free(), mb->residual_free());
-  EXPECT_TRUE(rmb->mid_round());
-
-  // Identical run() schedules from here on: the continued trajectory must
-  // match the uninterrupted twin draw for draw.
-  for (int i = 0; i < 50; ++i) {
-    full->run(chunk);
-    resumed.engine->run(chunk);
-    ASSERT_EQ(resumed.engine->interactions(), full->interactions());
-    const auto a = full->census();
-    const auto b = resumed.engine->census();
-    for (agent_state s = 0; s < a.num_state_kinds(); ++s) {
-      ASSERT_EQ(b.count(s), a.count(s)) << "state " << s << " at chunk " << i;
+    // Advance both twins in lockstep until the cut engine is mid-round with
+    // free pairs still pending.
+    const auto* mb = dynamic_cast<const multibatch_engine*>(cut.get());
+    ASSERT_NE(mb, nullptr);
+    bool found = false;
+    for (int i = 0; i < 200 && !found; ++i) {
+      full->run(c.chunk);
+      cut->run(c.chunk);
+      found = mb->residual_free() > 0;
     }
+    ASSERT_TRUE(found) << "never saw a truncated round with pending pairs";
+    ASSERT_TRUE(mb->mid_round());
+
+    const std::string file = save_checkpoint(recipe, *cut).dump_string();
+    restored_sim resumed = restore_checkpoint(json::parse(file));
+    const auto* rmb =
+        dynamic_cast<const multibatch_engine*>(resumed.engine.get());
+    ASSERT_NE(rmb, nullptr);
+    EXPECT_EQ(rmb->residual_free(), mb->residual_free());
+    EXPECT_TRUE(rmb->mid_round());
+
+    // Identical run() schedules from here on: the continued trajectory must
+    // match the uninterrupted twin draw for draw.
+    for (int i = 0; i < 50; ++i) {
+      full->run(c.chunk);
+      resumed.engine->run(c.chunk);
+      ASSERT_EQ(resumed.engine->interactions(), full->interactions());
+      const auto a = full->census();
+      const auto b = resumed.engine->census();
+      for (agent_state s = 0; s < a.num_state_kinds(); ++s) {
+        ASSERT_EQ(b.count(s), a.count(s)) << "state " << s << " at chunk " << i;
+      }
+    }
+    EXPECT_EQ(resumed.engine->save_state(), full->save_state());
   }
-  EXPECT_EQ(resumed.engine->save_state(), full->save_state());
 }
 
 // --- recipe fingerprints ---------------------------------------------------
@@ -419,6 +438,12 @@ TEST(Checkpoint, RestoreRejectsTamperedSnapshots) {
     bad["counts"] = json_uint_array({1, 1});
     auto e = fresh_engine(engine_kind::census);
     EXPECT_THROW(e->restore_state(bad), invariant_error);
+  }
+  {  // Multibatch collision pending with no free pair and no touched agent.
+    const auto mb = fresh_engine(engine_kind::multibatch);
+    json bad = mb->save_state();
+    bad["collision_pending"] = true;
+    EXPECT_THROW(mb->restore_state(bad), invariant_error);
   }
   {  // Unsupported outer schema version.
     json file = save_checkpoint(recipe, *engine);
