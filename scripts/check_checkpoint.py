@@ -1,6 +1,11 @@
 #!/usr/bin/env python3
 """Validate a ppg checkpoint file against the v1 schema (DESIGN.md §9).
 
+The file format is schema_version 1; the engine snapshots inside it are
+state_version 2, the sampling law whose multibatch rounds draw each
+collision-free run in one joint draw (DESIGN.md §8). Snapshots of the v1
+law (state_version 1) are rejected, as the C++ restore rejects them.
+
     check_checkpoint.py CHECKPOINT_JSON [...]
 
 Checks, per file:
@@ -8,7 +13,7 @@ Checks, per file:
     {schema_version, spec, engine};
   - the spec header: protocol {name, params}, a nonempty initial census of
     nonnegative integers, a known sampling discipline;
-  - the engine snapshot: state_version == 1, a known engine kind, the
+  - the engine snapshot: state_version == 2, a known engine kind, the
     shared fields (interactions, the 4-word xoshiro256 state, not all
     zero), and the kind-specific payload — including census consistency
     (counts sum to the spec's population size) and the multibatch round
@@ -27,7 +32,7 @@ import json
 import sys
 
 SCHEMA_VERSION = 1
-STATE_VERSION = 1
+STATE_VERSION = 2
 SAMPLINGS = {"distinct", "with_replacement"}
 ENGINE_COMMON = {"state_version", "engine", "interactions", "rng"}
 ENGINE_KEYS = {

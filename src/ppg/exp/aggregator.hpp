@@ -4,7 +4,7 @@
 //
 // All three compose the ppg::stats accumulators and expose an associative
 // merge(), so partial aggregates computed anywhere (another thread, another
-// shard, another machine) can be combined; the batch engine itself folds in
+// process, another machine) can be combined; the batch engine itself folds in
 // replica order on one thread so aggregates are thread-count independent.
 #pragma once
 

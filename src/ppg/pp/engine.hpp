@@ -40,8 +40,9 @@ enum class engine_kind : std::uint8_t {
 /// Version stamped into every engine snapshot ("state_version"). Additive
 /// changes keep the version; anything that changes the meaning of an
 /// existing field bumps it, and restore_state rejects versions it does not
-/// know. See DESIGN.md §9.
-inline constexpr std::uint64_t engine_state_version = 1;
+/// know. See DESIGN.md §9. Version 2 is the multibatch engine's
+/// one-joint-draw round law (DESIGN.md §8); version 1 snapshots are refused.
+inline constexpr std::uint64_t engine_state_version = 2;
 
 /// Interface of a running simulation. All engines implement the exact same
 /// interaction law for a given (protocol, initial census, pair_sampling)

@@ -1,7 +1,6 @@
 #include "ppg/pp/multibatch_engine.hpp"
 
 #include <algorithm>
-#include <string>
 #include <utility>
 
 #include "ppg/util/error.hpp"
@@ -10,10 +9,6 @@ namespace ppg {
 namespace {
 
 constexpr agent_state no_excluded_state = static_cast<agent_state>(-1);
-
-// The v1 shard law's constants (see shard_count).
-constexpr std::uint64_t max_shards = 16;
-constexpr std::uint64_t min_shard_grain = 512;
 
 /// The state holding the `target`-th agent (0-indexed) of the pool when its
 /// agents are ordered by state; `excluded` removes one agent of that state
@@ -74,15 +69,6 @@ multibatch_engine::multibatch_engine(const protocol& proto,
   row_.resize(counts_.size());
 }
 
-std::uint64_t multibatch_engine::shard_count(
-    std::uint64_t free, std::uint64_t aggregate_threshold) {
-  // Grain: no shard smaller than the aggregate threshold (its tables must
-  // amortize) or 512 pairs.
-  const std::uint64_t grain =
-      std::max<std::uint64_t>(min_shard_grain, aggregate_threshold);
-  return std::clamp<std::uint64_t>(free / grain, 1, max_shards);
-}
-
 void multibatch_engine::check_round_invariants() const {
 #ifdef NDEBUG
   // The PPG_DCHECKs below compile out in Release; skip the O(q) sweep too.
@@ -109,12 +95,7 @@ void multibatch_engine::check_round_invariants() const {
 }
 
 json multibatch_engine::save_state() const {
-  json snapshot = json::object();
-  snapshot["state_version"] = engine_state_version;
-  snapshot["engine"] = engine_kind_name(engine_kind::multibatch);
-  snapshot["interactions"] = interactions_;
-  const auto words = gen_.save();
-  snapshot["rng"] = json_uint_array({words[0], words[1], words[2], words[3]});
+  json snapshot = snapshot_envelope(interactions_, gen_);
   snapshot["counts"] = json_uint_array(counts_);
   snapshot["untouched"] = json_uint_array(untouched_);
   snapshot["touched"] = json_uint_array(touched_);
@@ -136,22 +117,7 @@ void multibatch_engine::restore_state(const json& snapshot) {
                      "rounds", "collisions", "pending_free",
                      "collision_pending"},
                     where);
-  const std::uint64_t version =
-      json_require_uint(snapshot, "state_version", where);
-  PPG_CHECK(version == engine_state_version,
-            "multibatch snapshot: unsupported state_version " +
-                std::to_string(version) + " (this build reads " +
-                std::to_string(engine_state_version) + ")");
-  const std::string& name = json_require_string(snapshot, "engine", where);
-  PPG_CHECK(name == engine_kind_name(engine_kind::multibatch),
-            "multibatch snapshot: engine kind is '" + name + "'");
-  const std::uint64_t interactions =
-      json_require_uint(snapshot, "interactions", where);
-  const auto words = json_require_uint_array(snapshot, "rng", where);
-  PPG_CHECK(words.size() == 4,
-            "multibatch snapshot: rng state must be 4 words of 64 bits");
-  rng gen;
-  gen.restore({words[0], words[1], words[2], words[3]});
+  const auto core = check_snapshot_envelope(snapshot);
   auto counts = json_require_uint_array(snapshot, "counts", where);
   auto untouched = json_require_uint_array(snapshot, "untouched", where);
   auto touched = json_require_uint_array(snapshot, "touched", where);
@@ -201,12 +167,12 @@ void multibatch_engine::restore_state(const json& snapshot) {
   collision_pending_ = collision_pending;
   rounds_ = rounds;
   collisions_ = collisions;
-  interactions_ = interactions;
-  gen_ = gen;
+  interactions_ = core.interactions;
+  gen_ = core.gen;
 }
 
 void multibatch_engine::apply_pair_type(agent_state u, agent_state v,
-                                        std::uint64_t m, rng& gen) {
+                                        std::uint64_t m) {
   counts_[u] -= m;
   counts_[v] -= m;
   const std::size_t support = kernel_->num_outcomes(u, v);
@@ -224,7 +190,7 @@ void multibatch_engine::apply_pair_type(agent_state u, agent_state v,
   for (std::size_t k = 0; k < support; ++k) {
     probs_[k] = kernel_->outcome_at(u, v, k).probability;
   }
-  sample_multinomial(m, probs_.data(), support, gen, split_.data());
+  sample_multinomial(m, probs_.data(), support, gen_, split_.data());
   for (std::size_t k = 0; k < support; ++k) {
     if (split_[k] == 0) continue;
     const outcome o = kernel_->outcome_at(u, v, k);
@@ -232,26 +198,6 @@ void multibatch_engine::apply_pair_type(agent_state u, agent_state v,
     counts_[o.responder] += split_[k];
     touched_[o.initiator] += split_[k];
     touched_[o.responder] += split_[k];
-  }
-}
-
-void multibatch_engine::run_shard(rng& gen) {
-  // Conditioned on the shard's initiator and responder multisets, the
-  // initiator-responder matching is uniform — realized by splitting the
-  // responder multiset across initiator groups with sequential conditional
-  // MVH rows.
-  const std::size_t width = counts_.size();
-  for (std::size_t u = 0; u < kernel_->num_states(); ++u) {
-    if (initiators_[u] == 0) continue;
-    sample_multivariate_hypergeometric(responders_.data(), width,
-                                       initiators_[u], gen, row_.data());
-    for (std::size_t v = 0; v < width; ++v) {
-      responders_[v] -= row_[v];
-      if (row_[v] > 0) {
-        apply_pair_type(static_cast<agent_state>(u),
-                        static_cast<agent_state>(v), row_[v], gen);
-      }
-    }
   }
 }
 
@@ -264,25 +210,25 @@ void multibatch_engine::take_untouched(std::uint64_t draws,
 }
 
 void multibatch_engine::apply_free_aggregate(std::uint64_t free) {
-  const std::uint64_t shards = shard_count(free, aggregate_threshold_);
-  // One master draw seeds every shard stream of this application; the
-  // split sizes are deterministic (free/L, remainder to the first shards).
-  const std::uint64_t app_seed = gen_();
-  const std::uint64_t base = free / shards;
-  const std::uint64_t extra = free % shards;
-  // Shard k draws its initiator then responder multiset from the pool
-  // remaining after shards < k (conditional MVH splits on the master
-  // stream), which gives the union of all shards the law of one joint
-  // 2*free-agent draw: without-replacement sampling is consistent under
-  // sequential subsampling. Its matching and outcome splits then run on
-  // its own derived stream, so interleaving the splits with the shards
-  // leaves every stream's draw sequence as the v1 law fixes it.
-  for (std::uint64_t k = 0; k < shards; ++k) {
-    const std::uint64_t fk = base + (k < extra ? 1 : 0);
-    take_untouched(fk, initiators_);
-    take_untouched(fk, responders_);
-    rng shard_gen(derive_stream_seed(app_seed, k));
-    run_shard(shard_gen);
+  // The 2*free distinct agents of the run, drawn jointly: initiators, then
+  // responders from what remains.
+  take_untouched(free, initiators_);
+  take_untouched(free, responders_);
+  // Conditioned on the two multisets, the initiator-responder matching is
+  // uniform — realized by splitting the responder multiset across initiator
+  // groups with sequential conditional MVH rows.
+  const std::size_t width = counts_.size();
+  for (std::size_t u = 0; u < kernel_->num_states(); ++u) {
+    if (initiators_[u] == 0) continue;
+    sample_multivariate_hypergeometric(responders_.data(), width,
+                                       initiators_[u], gen_, row_.data());
+    for (std::size_t v = 0; v < width; ++v) {
+      responders_[v] -= row_[v];
+      if (row_[v] > 0) {
+        apply_pair_type(static_cast<agent_state>(u),
+                        static_cast<agent_state>(v), row_[v]);
+      }
+    }
   }
 }
 

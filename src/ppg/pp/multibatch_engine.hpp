@@ -13,13 +13,14 @@
 //  1. the number of collision-free interactions J before the first
 //     interaction re-using a touched agent follows the exact birthday law
 //     P(J > j) = prod_{i<j} (n-2i)(n-2i-1) / (n(n-1)), drawn by inversion
-//     over a log-survival table built once per population size
+//     of the log-survival recurrence, checkpointed once per population size
 //     (stats/discrete_sampling's collision_run_sampler);
 //  2. the q x q table of ordered state-pair counts of those J interactions
-//     is drawn from multivariate hypergeometrics over the untouched census
-//     (initiator sample, then responder sample, then a uniform matching by
-//     initiator group — exactly the law of 2J distinct agents drawn
-//     uniformly without replacement, paired in order);
+//     is drawn jointly, once per applied run, from multivariate
+//     hypergeometrics over the untouched census (initiator sample, then
+//     responder sample, then a uniform matching by initiator group —
+//     exactly the law of 2J distinct agents drawn uniformly without
+//     replacement, paired in order);
 //  3. the outcome split of each pair type is a multinomial over the
 //     kernel's outcome distribution (deterministic pairs consume no draws);
 //  4. the one colliding interaction is resolved sequentially — its pair is
@@ -36,9 +37,8 @@
 // per-pair path, so small populations degrade gracefully to exactly the
 // census engine's per-interaction cost.
 //
-// Step 2 splits each aggregate application into at most 16 shard sub-draws
-// (shard_count below, DESIGN.md §8): part of the v1 sampling law, executed
-// inline in shard order on one thread.
+// This is sampling law v2 (engine_state_version 2, DESIGN.md §8): every
+// draw comes from the engine's one stream, in the order above.
 #pragma once
 
 #include <cstdint>
@@ -107,19 +107,11 @@ class multibatch_engine final : public sim_engine {
   /// round/collision counters, and the residual-round carry
   /// (pending_free / collision_pending) — a checkpoint taken inside a
   /// budget-truncated round resumes the same round, same law, same draws.
-  /// Shard streams are derived per aggregate application, so shards add no
-  /// persistent state. restore_state validates the exact key set, the
-  /// state_version, the width/population/state-space agreement and the
-  /// round-state invariants, and leaves the engine untouched on failure.
+  /// restore_state validates the exact key set, the state_version, the
+  /// width/population/state-space agreement and the round-state
+  /// invariants, and leaves the engine untouched on failure.
   [[nodiscard]] json save_state() const override;
   void restore_state(const json& snapshot) override;
-
-  /// The shard-decomposition law: how many sub-draws a collision-free run
-  /// of `free` pairs splits into, L = clamp(free / max(512, threshold), 1,
-  /// 16). A fixed function of the run length and the aggregate threshold,
-  /// so it is part of the trajectory's draw sequence (DESIGN.md §8).
-  [[nodiscard]] static std::uint64_t shard_count(
-      std::uint64_t free, std::uint64_t aggregate_threshold);
 
  private:
   /// Debug-asserted structural invariants of the round state (pool sums,
@@ -129,15 +121,13 @@ class multibatch_engine final : public sim_engine {
   void check_round_invariants() const;
 
   void apply_free_sequential(std::uint64_t free);
+  /// One joint draw of a `free`-pair run: initiator and responder multisets,
+  /// the matching rows, and each pair type's outcome split.
   void apply_free_aggregate(std::uint64_t free);
   /// Draws `draws` agents from the untouched pool into `out` (one
-  /// multivariate hypergeometric on the master stream) and removes them.
+  /// multivariate hypergeometric) and removes them.
   void take_untouched(std::uint64_t draws, std::vector<std::uint64_t>& out);
-  /// One shard: matches initiators_ against responders_ by conditional MVH
-  /// rows and splits each pair type's outcomes, all on `gen` (the shard's
-  /// derived stream), applying the result to the census and touched pool.
-  void run_shard(rng& gen);
-  void apply_pair_type(agent_state u, agent_state v, std::uint64_t m, rng& gen);
+  void apply_pair_type(agent_state u, agent_state v, std::uint64_t m);
   void resolve_collision();
 
   std::shared_ptr<const kernel_table> kernel_;
@@ -157,10 +147,10 @@ class multibatch_engine final : public sim_engine {
   /// Runs below this take the sequential per-pair path (the O(q^2)
   /// aggregate tables would cost more than per-pair sampling).
   std::uint64_t aggregate_threshold_;
-  collision_run_sampler birthday_;  ///< tabulated once per population size
+  collision_run_sampler birthday_;  ///< checkpointed once per population size
   // Per-round scratch, reused across rounds.
-  std::vector<std::uint64_t> initiators_;  ///< one shard's initiator census
-  std::vector<std::uint64_t> responders_;  ///< one shard's responder census
+  std::vector<std::uint64_t> initiators_;  ///< the run's initiator census
+  std::vector<std::uint64_t> responders_;  ///< the run's responder census
   std::vector<std::uint64_t> row_;         ///< one matching row
   std::vector<double> probs_;              ///< outcome-split probabilities
   std::vector<std::uint64_t> split_;       ///< multinomial outcome counts

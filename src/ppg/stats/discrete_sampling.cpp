@@ -9,6 +9,9 @@
 namespace ppg {
 namespace {
 
+/// Distance between stored birthday checkpoints (collision_run_sampler).
+constexpr std::uint64_t checkpoint_stride = 16;
+
 /// Inverts a unimodal PMF outward from its mode: accumulates probability at
 /// the mode, then alternately one cell up and one cell down, until the
 /// uniform draw is covered. `ratio_up(k)` is pmf(k+1)/pmf(k) and
@@ -212,49 +215,66 @@ std::vector<std::uint64_t> sample_multinomial(std::uint64_t m,
   return counts;
 }
 
-collision_run_sampler::collision_run_sampler(std::uint64_t n) : n_(n) {
+collision_run_sampler::collision_run_sampler(std::uint64_t n)
+    : n_(n),
+      log_pairs_(std::log(static_cast<double>(n)) +
+                 std::log(static_cast<double>(n - 1))) {
   PPG_CHECK(n >= 2, "the birthday law needs at least two agents");
-  // Tabulate until the survival falls below every level a positive
-  // next_double() can produce: the smallest positive 53-bit uniform is
-  // 2^-53, log = -36.74, so entries below -38 are unreachable by inversion.
+  // Run the recurrence until the survival falls below every level a
+  // positive next_double() can produce: the smallest positive 53-bit
+  // uniform is 2^-53, log = -36.74, so values below -38 are unreachable by
+  // inversion.
   constexpr double log_cutoff = -38.0;
-  const double log_pairs = std::log(static_cast<double>(n)) +
-                           std::log(static_cast<double>(n - 1));
   const std::uint64_t support_max = n / 2;
-  log_survival_.reserve(static_cast<std::size_t>(std::min<double>(
-      static_cast<double>(support_max) + 1.0,
-      std::sqrt(19.5 * static_cast<double>(n)) + 16.0)));
+  const double expected_max =
+      std::min<double>(static_cast<double>(support_max),
+                       std::sqrt(19.5 * static_cast<double>(n)) + 16.0);
+  checkpoints_.reserve(static_cast<std::size_t>(expected_max) /
+                           checkpoint_stride +
+                       1);
   double ls = 0.0;
-  log_survival_.push_back(ls);
-  for (std::uint64_t j = 0; j < support_max; ++j) {
-    ls += std::log(static_cast<double>(n - 2 * j)) +
-          std::log(static_cast<double>(n - 2 * j - 1)) - log_pairs;
-    log_survival_.push_back(ls);
-    if (ls < log_cutoff) break;
+  checkpoints_.push_back(ls);
+  while (j_max_ < support_max && ls >= log_cutoff) {
+    ls += log_step(j_max_);
+    ++j_max_;
+    if (j_max_ % checkpoint_stride == 0) checkpoints_.push_back(ls);
   }
+}
+
+double collision_run_sampler::log_step(std::uint64_t j) const {
+  return std::log(static_cast<double>(n_ - 2 * j)) +
+         std::log(static_cast<double>(n_ - 2 * j - 1)) - log_pairs_;
+}
+
+double collision_run_sampler::log_survival(std::uint64_t j) const {
+  PPG_CHECK(j <= j_max_, "collision_run_sampler: j beyond the recurrence");
+  std::uint64_t at = j - j % checkpoint_stride;
+  double ls = checkpoints_[static_cast<std::size_t>(at / checkpoint_stride)];
+  for (; at < j; ++at) ls += log_step(at);
+  return ls;
 }
 
 std::uint64_t collision_run_sampler::sample(rng& gen) const {
   double u = gen.next_double();
   while (u <= 0.0) u = gen.next_double();
   const double log_u = std::log(u);
-  // Largest tabulated j with log S(j) >= log u. Entry 0 is log 1 = 0 >
-  // log u, and the table's tail is either below every reachable log u or
-  // the end of the support (the pool holds at most n/2 disjoint pairs).
-  std::size_t lo = 0;
-  std::size_t hi = log_survival_.size() - 1;
-  if (log_survival_[hi] >= log_u) {
-    return std::max<std::uint64_t>(hi, 1);
+  // Last checkpoint with log S >= log u. Checkpoint 0 is log 1 = 0 > log u,
+  // and S is non-increasing, so the answer lies in [16k, 16k + 15] (capped
+  // at j_max, past which the recurrence is either unreachable by any
+  // log u or the end of the support: the pool holds at most n/2 pairs).
+  const auto first_below =
+      std::partition_point(checkpoints_.begin(), checkpoints_.end(),
+                           [&](double entry) { return entry >= log_u; });
+  const auto k =
+      static_cast<std::uint64_t>(first_below - checkpoints_.begin()) - 1;
+  std::uint64_t j = k * checkpoint_stride;
+  const std::uint64_t last = std::min(j + checkpoint_stride - 1, j_max_);
+  double ls = checkpoints_[static_cast<std::size_t>(k)];
+  for (; j < last; ++j) {
+    ls += log_step(j);
+    if (ls < log_u) break;
   }
-  while (hi - lo > 1) {
-    const std::size_t mid = lo + (hi - lo) / 2;
-    if (log_survival_[mid] >= log_u) {
-      lo = mid;
-    } else {
-      hi = mid;
-    }
-  }
-  return std::max<std::uint64_t>(lo, 1);
+  return std::max<std::uint64_t>(j, 1);
 }
 
 std::size_t sample_categorical(const std::vector<double>& probs, rng& gen) {

@@ -256,8 +256,8 @@ const char* dense_hawk_dove_recipe_text() {
 // pairs + the unresolved collision split) must survive the checkpoint.
 // Two regimes: rumor at n = 300 with chunks of 7 applies every free run on
 // the sequential per-pair path; dense hawk-dove at n = 8e6 (rounds of ~1800
-// collision-free pairs) with chunks of 1500 takes the aggregate path,
-// including two-shard applications, on both sides of the cut.
+// collision-free pairs) with chunks of 1500 takes the aggregate path on
+// both sides of the cut.
 TEST(Checkpoint, MultibatchResumesMidResidualRound) {
   const struct {
     const char* recipe_text;

@@ -5,6 +5,7 @@
 // the two-runs-bit-identical determinism contract the engines rely on.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <vector>
@@ -256,7 +257,7 @@ TEST(DiscreteSampling, TwoRunsAreBitIdentical) {
 
 TEST(DiscreteSampling, PointerOverloadsAreDrawForDrawIdentical) {
   // The allocation-free MVH/multinomial forms (the multibatch round's
-  // shard splits, matching rows and outcome splits) must consume the exact
+  // pool draws, matching rows and outcome splits) must consume the exact
   // draw sequence of the vector forms.
   rng gen_a(55);
   rng gen_b(55);
@@ -280,35 +281,39 @@ TEST(DiscreteSampling, PointerOverloadsAreDrawForDrawIdentical) {
 
 TEST(DiscreteSampling, CollisionRunSamplerTableMatchesTheBirthdayLaw) {
   // log S(j) = log n! - log (n-2j)! - j log(n(n-1)), computed directly via
-  // lgamma, must match the incremental table within accumulated rounding.
+  // lgamma, must match the incremental recurrence within accumulated
+  // rounding.
   for (const std::uint64_t n : {2ull, 10ull, 1000ull, 123'456ull}) {
     const collision_run_sampler sampler(n);
     EXPECT_EQ(sampler.population_size(), n);
-    const auto& table = sampler.log_survival();
-    ASSERT_GE(table.size(), 2u);
-    EXPECT_EQ(table[0], 0.0);
-    EXPECT_EQ(table[1], 0.0);  // S(1) = 1: the first pair cannot collide
+    ASSERT_GE(sampler.j_max(), 1u);
+    EXPECT_EQ(sampler.log_survival(0), 0.0);
+    EXPECT_EQ(sampler.log_survival(1), 0.0);  // S(1) = 1: no first collision
     const double lg_n1 = std::lgamma(static_cast<double>(n) + 1.0);
     const double log_pairs = std::log(static_cast<double>(n)) +
                              std::log(static_cast<double>(n - 1));
-    for (std::size_t j = 0; j < table.size(); ++j) {
+    for (std::uint64_t j = 0; j <= sampler.j_max(); ++j) {
       const double direct =
           lg_n1 - std::lgamma(static_cast<double>(n - 2 * j) + 1.0) -
           static_cast<double>(j) * log_pairs;
-      EXPECT_NEAR(table[j], direct, 1e-7) << "n=" << n << " j=" << j;
+      EXPECT_NEAR(sampler.log_survival(j), direct, 1e-7)
+          << "n=" << n << " j=" << j;
     }
-    // The table covers the support or reaches below every level a 53-bit
-    // uniform can ask for (log 2^-53 ~ -36.74).
-    EXPECT_TRUE(table.size() == n / 2 + 1 || table.back() < -36.8);
+    // The recurrence covers the support or reaches below every level a
+    // 53-bit uniform can ask for (log 2^-53 ~ -36.74).
+    EXPECT_TRUE(sampler.j_max() == n / 2 ||
+                sampler.log_survival(sampler.j_max()) < -36.8);
   }
 }
 
 TEST(DiscreteSampling, CollisionRunSamplerMomentsAndSupport) {
   const std::uint64_t n = 10'000;
   const collision_run_sampler sampler(n);
-  // E[J] = sum_j P(J > j), computable from the tabulated survival.
+  // E[J] = sum_j P(J > j), computable from the survival recurrence.
   double expected = 0.0;
-  for (const double ls : sampler.log_survival()) expected += std::exp(ls);
+  for (std::uint64_t j = 0; j <= sampler.j_max(); ++j) {
+    expected += std::exp(sampler.log_survival(j));
+  }
   rng gen(66);
   running_summary s;
   constexpr int trials = 20000;
@@ -325,6 +330,51 @@ TEST(DiscreteSampling, CollisionRunSamplerMomentsAndSupport) {
   rng gen_b(67);
   for (int t = 0; t < 100; ++t) {
     EXPECT_EQ(sampler.sample(gen_a), sampler.sample(gen_b));
+  }
+}
+
+TEST(DiscreteSampling, SparseBirthdayTableMatchesDenseInversion) {
+  // The sampler stores every 16th log-survival value; inverting a dense
+  // table built with the same recurrence must give the same J draw for
+  // draw, including at the support's end (n = 2, 3) and at the engine's
+  // n cap.
+  for (const std::uint64_t n :
+       {2ull, 3ull, 1000ull, 100'000'000ull, 3'000'000'000ull}) {
+    const collision_run_sampler sampler(n);
+    const double log_pairs = std::log(static_cast<double>(n)) +
+                             std::log(static_cast<double>(n - 1));
+    std::vector<double> dense = {0.0};
+    for (std::uint64_t j = 0; j < n / 2; ++j) {
+      // The recurrence's evaluation order: ls += (a + b) - c.
+      double ls = dense.back();
+      ls += std::log(static_cast<double>(n - 2 * j)) +
+            std::log(static_cast<double>(n - 2 * j - 1)) - log_pairs;
+      dense.push_back(ls);
+      if (ls < -38.0) break;
+    }
+    ASSERT_EQ(sampler.j_max() + 1, dense.size()) << "n=" << n;
+    EXPECT_LE(sampler.stored_entries(), (sampler.j_max() + 15) / 16 + 1)
+        << "n=" << n;
+    for (std::size_t j = 0; j < dense.size(); j += 997) {
+      ASSERT_EQ(sampler.log_survival(j), dense[j]) << "n=" << n << " j=" << j;
+    }
+    ASSERT_EQ(sampler.log_survival(sampler.j_max()), dense.back());
+
+    rng gen_sparse(2718);
+    rng gen_dense(2718);
+    for (int t = 0; t < 100'000; ++t) {
+      double u = gen_dense.next_double();
+      while (u <= 0.0) u = gen_dense.next_double();
+      const double log_u = std::log(u);
+      // Largest j with log S(j) >= log u: S is non-increasing.
+      const auto first_below =
+          std::partition_point(dense.begin(), dense.end(),
+                               [&](double entry) { return entry >= log_u; });
+      const auto j = static_cast<std::uint64_t>(first_below - dense.begin());
+      const std::uint64_t expected = std::max<std::uint64_t>(j - 1, 1);
+      ASSERT_EQ(sampler.sample(gen_sparse), expected)
+          << "n=" << n << " draw " << t;
+    }
   }
 }
 

@@ -1,0 +1,181 @@
+// Exact transient-law oracle: a population protocol is exactly a Markov
+// chain on censuses (Chatzigiannakis–Spirakis), so for small n that chain
+// can be built from the compiled kernel_table and evolved exactly to time
+// t. Each engine's empirical distribution of the census after t
+// interactions is then chi-square tested against that exact pmf — ground
+// truth that does not depend on any engine, and that survives deliberate
+// changes of an engine's draw sequence (DESIGN.md §8).
+//
+// Dense hawk-dove (logit, temperature 0.5), one-way and two-way, at
+// n = 1000: the multibatch aggregate threshold is 16 pairs and E[J] ~ 20,
+// so most rounds apply their collision-free run on the aggregate path.
+// run() advances in chunks of 97, so rounds are routinely truncated and
+// carried across calls. The census engine is the control. Seeds are fixed
+// and the level is Bonferroni-corrected over the accepting tests, so the
+// outcome is deterministic; a temperature-0.6 engine must be rejected.
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <cmath>
+#include <cstdint>
+#include <map>
+#include <memory>
+#include <utility>
+#include <vector>
+
+#include "ppg/games/game_matrix.hpp"
+#include "ppg/games/game_protocol.hpp"
+#include "ppg/games/update_rule.hpp"
+#include "ppg/markov/chain.hpp"
+#include "ppg/pp/engine.hpp"
+#include "ppg/pp/kernel.hpp"
+#include "ppg/stats/chi_square.hpp"
+#include "ppg/stats/discrete_sampling.hpp"
+#include "ppg/util/rng.hpp"
+
+namespace ppg {
+namespace {
+
+using census_vector = std::vector<std::uint64_t>;
+
+/// The census chain of `proto` over populations of `n` agents, with every
+/// census of the q-state simplex indexed in lexicographic order.
+struct census_chain {
+  std::map<census_vector, std::size_t> index;
+  finite_chain chain;
+};
+
+void enumerate_censuses(std::size_t q, std::uint64_t left, census_vector& c,
+                        std::map<census_vector, std::size_t>& index) {
+  if (c.size() + 1 == q) {
+    c.push_back(left);
+    index.emplace(c, index.size());
+    c.pop_back();
+    return;
+  }
+  for (std::uint64_t k = 0; k <= left; ++k) {
+    c.push_back(k);
+    enumerate_censuses(q, left - k, c, index);
+    c.pop_back();
+  }
+}
+
+/// One interaction of the distinct-pair scheduler: ordered pair (u, v) of
+/// distinct agents with probability c_u (c_v - [u = v]) / (n (n - 1)),
+/// then the kernel's outcome distribution for that pair.
+census_chain build_census_chain(const protocol& proto, std::uint64_t n) {
+  const kernel_table kernel(proto);
+  const std::size_t q = kernel.num_states();
+  std::map<census_vector, std::size_t> index;
+  census_vector scratch;
+  enumerate_censuses(q, n, scratch, index);
+  finite_chain chain(index.size());
+  const double pairs = static_cast<double>(n) * static_cast<double>(n - 1);
+  for (const auto& [c, from] : index) {
+    for (std::size_t u = 0; u < q; ++u) {
+      for (std::size_t v = 0; v < q; ++v) {
+        if (c[u] == 0) continue;
+        const std::uint64_t cv = c[v] - (u == v ? 1 : 0);
+        if (cv == 0) continue;
+        const double weight =
+            static_cast<double>(c[u]) * static_cast<double>(cv) / pairs;
+        const auto a = static_cast<agent_state>(u);
+        const auto b = static_cast<agent_state>(v);
+        for (std::size_t k = 0; k < kernel.num_outcomes(a, b); ++k) {
+          const outcome o = kernel.outcome_at(a, b, k);
+          census_vector next = c;
+          --next[u];
+          --next[v];
+          ++next[o.initiator];
+          ++next[o.responder];
+          chain.add_transition(from, index.at(next), weight * o.probability);
+        }
+      }
+    }
+  }
+  return {std::move(index), std::move(chain)};
+}
+
+game_protocol hawk_dove(double temperature, revision_discipline discipline) {
+  return {hawk_dove_matrix(1.0, 2.0),
+          std::make_shared<logit_response_rule>(temperature), discipline};
+}
+
+constexpr std::uint64_t n = 1000;
+constexpr std::uint64_t horizon = n;  // one unit of parallel time
+constexpr std::uint64_t chunk = 97;   // truncates rounds mid-flight
+constexpr std::size_t replicas = 4000;
+const census_vector initial = {800, 200};
+// Two disciplines x two engines accept at this family-wise level.
+constexpr double family_level = 0.01;
+constexpr double per_test_level = family_level / 4.0;
+
+/// Exact pmf of the census after `horizon` interactions from `initial`.
+std::vector<double> exact_pmf(const census_chain& cc) {
+  std::vector<double> mu(cc.index.size(), 0.0);
+  mu[cc.index.at(initial)] = 1.0;
+  return cc.chain.evolve(std::move(mu), horizon);
+}
+
+/// p-value of `replicas` runs of `kind` on `proto` against `pmf`.
+double engine_p_value(const protocol& proto, engine_kind kind,
+                      const census_chain& cc, const std::vector<double>& pmf,
+                      std::uint64_t master) {
+  const sim_spec spec(proto, initial);
+  std::vector<std::uint64_t> observed(pmf.size(), 0);
+  for (std::size_t r = 0; r < replicas; ++r) {
+    rng gen = make_stream_rng(master, r);
+    const auto engine = spec.make_engine(kind, gen);
+    for (std::uint64_t done = 0; done < horizon; done += chunk) {
+      engine->run(std::min(chunk, horizon - done));
+    }
+    EXPECT_EQ(engine->interactions(), horizon);
+    const census_view view = engine->census();
+    census_vector c(initial.size());
+    for (std::size_t s = 0; s < c.size(); ++s) {
+      c[s] = view.count(static_cast<agent_state>(s));
+    }
+    ++observed[cc.index.at(c)];
+  }
+  return chi_square_gof(observed, pmf).p_value;
+}
+
+TEST(ExactLaw, AggregatePathCarriesMostRounds) {
+  // P(J >= 16) = S(15): the share of rounds whose free run reaches the
+  // q = 2 aggregate threshold max(16, 4 q^2) before any chunk truncation.
+  const collision_run_sampler birthday(n);
+  EXPECT_GT(std::exp(birthday.log_survival(15)), 0.5);
+}
+
+TEST(ExactLaw, EnginesMatchTheExactCensusChain) {
+  for (const auto discipline :
+       {revision_discipline::one_way, revision_discipline::two_way}) {
+    const game_protocol proto = hawk_dove(0.5, discipline);
+    const census_chain cc = build_census_chain(proto, n);
+    ASSERT_TRUE(cc.chain.is_stochastic());
+    const std::vector<double> pmf = exact_pmf(cc);
+    for (const auto kind : {engine_kind::multibatch, engine_kind::census}) {
+      const double p = engine_p_value(proto, kind, cc, pmf, 1301);
+      EXPECT_GT(p, per_test_level)
+          << engine_kind_name(kind) << " two_way="
+          << (discipline == revision_discipline::two_way);
+    }
+  }
+}
+
+TEST(ExactLaw, RejectsAnEngineAtTheWrongTemperature) {
+  // Power: the same oracle must tell temperature 0.6 from 0.5.
+  for (const auto discipline :
+       {revision_discipline::one_way, revision_discipline::two_way}) {
+    const census_chain cc = build_census_chain(hawk_dove(0.5, discipline), n);
+    const std::vector<double> pmf = exact_pmf(cc);
+    const game_protocol wrong = hawk_dove(0.6, discipline);
+    const double p =
+        engine_p_value(wrong, engine_kind::multibatch, cc, pmf, 1302);
+    EXPECT_LT(p, per_test_level)
+        << "two_way=" << (discipline == revision_discipline::two_way);
+  }
+}
+
+}  // namespace
+}  // namespace ppg

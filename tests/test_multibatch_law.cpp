@@ -1,12 +1,13 @@
-// Pins the multibatch engine's v1 sampling law (DESIGN.md §8, "The round
+// Pins the multibatch engine's v2 sampling law (DESIGN.md §8, "The round
 // law") draw for draw: a dense hawk-dove trajectory at n = 10^7, advanced
 // over a fixed run() chunk schedule, must reproduce committed snapshots
 // byte for byte. At this n a round's collision-free run is ~2000 pairs, so
-// aggregate applications split into L >= 2 shard sub-draws; the snapshots
-// therefore fix the birthday draws, the conditional MVH shard splits, the
-// per-shard derived streams, the multinomial outcome splits and the
-// collision resolution all at once. Any change to the law — deliberate or
-// not — fails here; a deliberate one must also bump engine_state_version.
+// every application takes the aggregate path; the snapshots therefore fix
+// the birthday draws, the joint initiator/responder pool draws, the
+// matching rows, the multinomial outcome splits and the collision
+// resolution all at once. Any change to the law — deliberate or not —
+// fails here; a deliberate one must also bump engine_state_version, and
+// snapshots of the old law must then be refused (the last test).
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -17,7 +18,9 @@
 #include "ppg/games/game_matrix.hpp"
 #include "ppg/games/game_protocol.hpp"
 #include "ppg/games/update_rule.hpp"
+#include "ppg/pp/checkpoint.hpp"
 #include "ppg/pp/multibatch_engine.hpp"
+#include "ppg/util/error.hpp"
 #include "ppg/util/json.hpp"
 #include "ppg/util/rng.hpp"
 
@@ -40,13 +43,31 @@ std::vector<std::uint64_t> half_split(std::uint64_t n) {
 }
 
 /// The chunk schedule up to the mid-round golden snapshot; the last chunk
-/// truncates a round and leaves 1425 free pairs pending (>= 1024, so the
-/// carried remainder itself splits into two shards).
+/// truncates a round and leaves 2503 free pairs pending, which the resumed
+/// run applies on the aggregate path.
 const std::vector<std::uint64_t> to_mid = {1'000'000, 333'333, 4'001, 1, 300};
 /// The chunk schedule from the mid-round golden to the final one.
 const std::vector<std::uint64_t> to_end = {123'457, 1, 2'000'000, 65'536};
 
 const char* const mid_golden =
+    R"({"state_version":2,"engine":"multibatch","interactions":1337635,)"
+    R"("rng":[1749236560516943988,2188153624221495376,)"
+    R"(16092524463345637712,1832721577036131424],)"
+    R"("counts":[4998838,5001162],"untouched":[4998627,5000985],)"
+    R"("touched":[211,177],"untouched_total":9999612,"rounds":692,)"
+    R"("collisions":691,"pending_free":2503,"collision_pending":true})";
+
+const char* const end_golden =
+    R"({"state_version":2,"engine":"multibatch","interactions":3526629,)"
+    R"("rng":[14792025223310824631,13715768070091001352,)"
+    R"(6553461041837387912,16541461178140352932],)"
+    R"("counts":[4997259,5002741],"untouched":[4994452,4999848],)"
+    R"("touched":[2807,2893],"untouched_total":9994300,"rounds":1806,)"
+    R"("collisions":1805,"pending_free":292,"collision_pending":true})";
+
+/// The mid-round golden of sampling law v1 (up to 16 shard sub-draws per
+/// run), which this build must refuse rather than resume under v2.
+const char* const v1_mid_golden =
     R"({"state_version":1,"engine":"multibatch","interactions":1337635,)"
     R"("rng":[4701424392026812882,3576801397058540249,)"
     R"(9753317939762626592,92151487212452957],)"
@@ -54,20 +75,12 @@ const char* const mid_golden =
     R"("touched":[498,488],"untouched_total":9999014,"rounds":687,)"
     R"("collisions":686,"pending_free":1425,"collision_pending":true})";
 
-const char* const end_golden =
-    R"({"state_version":1,"engine":"multibatch","interactions":3526629,)"
-    R"("rng":[9556930251581373774,9131235674036849362,)"
-    R"(12114590555751678834,5677357728922747136],)"
-    R"("counts":[5002115,4997885],"untouched":[5000845,4996577],)"
-    R"("touched":[1270,1308],"untouched_total":9997422,"rounds":1804,)"
-    R"("collisions":1803,"pending_free":1314,"collision_pending":true})";
-
-TEST(MultibatchLaw, V1TrajectoryReproducesTheGoldenSnapshots) {
+TEST(MultibatchLaw, V2TrajectoryReproducesTheGoldenSnapshots) {
   multibatch_engine engine(dense_proto(), half_split(golden_n),
                            rng(golden_seed));
   for (const std::uint64_t chunk : to_mid) engine.run(chunk);
   ASSERT_TRUE(engine.mid_round());
-  ASSERT_GE(engine.residual_free(), 1024u);
+  ASSERT_GT(engine.residual_free(), 0u);
   EXPECT_EQ(engine.save_state().dump_string(false), mid_golden);
   for (const std::uint64_t chunk : to_end) engine.run(chunk);
   EXPECT_EQ(engine.save_state().dump_string(false), end_golden);
@@ -82,19 +95,53 @@ TEST(MultibatchLaw, MidRoundGoldenResumesToTheFinalGolden) {
   EXPECT_EQ(engine.save_state().dump_string(false), end_golden);
 }
 
-TEST(ShardLaw, IsAFixedFunctionOfTheRunLength) {
-  // q = 2 games have threshold 16 < the 512-pair grain.
-  const std::uint64_t thr = 16;
-  EXPECT_EQ(multibatch_engine::shard_count(1, thr), 1u);
-  EXPECT_EQ(multibatch_engine::shard_count(511, thr), 1u);
-  EXPECT_EQ(multibatch_engine::shard_count(1023, thr), 1u);
-  EXPECT_EQ(multibatch_engine::shard_count(1024, thr), 2u);
-  EXPECT_EQ(multibatch_engine::shard_count(512 * 7, thr), 7u);
-  EXPECT_EQ(multibatch_engine::shard_count(512 * 16, thr), 16u);
-  EXPECT_EQ(multibatch_engine::shard_count(1u << 30, thr), 16u);
-  // A larger aggregate threshold raises the grain with it.
-  EXPECT_EQ(multibatch_engine::shard_count(4096, 4096), 1u);
-  EXPECT_EQ(multibatch_engine::shard_count(3 * 4096, 4096), 3u);
+/// The error text restore raises on `attempt`, or "" when it succeeds.
+template <typename Attempt>
+std::string restore_error(Attempt attempt) {
+  try {
+    attempt();
+  } catch (const invariant_error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(MultibatchLaw, V1SnapshotsAreRefusedLoudly) {
+  // A v1 snapshot describes a trajectory of the shard law; resuming it
+  // under v2 would silently continue a different chain.
+  multibatch_engine engine(dense_proto(), half_split(golden_n),
+                           rng(golden_seed));
+  for (const std::uint64_t chunk : to_mid) engine.run(chunk);
+  const std::string before = engine.save_state().dump_string(false);
+  const std::string state_error = restore_error(
+      [&] { engine.restore_state(json::parse(v1_mid_golden)); });
+  EXPECT_NE(state_error.find("unsupported state_version 1"),
+            std::string::npos)
+      << state_error;
+  EXPECT_EQ(engine.save_state().dump_string(false), before);
+
+  // The same snapshot inside a checkpoint file for its own recipe.
+  const sim_recipe recipe = sim_recipe::from_json(json::parse(
+      R"({"protocol": {"name": "matrix-game",
+                       "params": {"game": {"name": "hawk-dove",
+                                           "value": 1.0, "cost": 2.0},
+                                  "rule": {"name": "logit",
+                                           "temperature": 0.5},
+                                  "discipline": "two_way"}},
+          "initial_counts": [5000000, 5000000], "sampling": "distinct"})"));
+  rng gen(golden_seed);
+  const auto fresh = recipe.spec().make_engine(engine_kind::multibatch, gen);
+  json checkpoint = save_checkpoint(recipe, *fresh);
+  checkpoint["engine"] = json::parse(v1_mid_golden);
+  const std::string checkpoint_error =
+      restore_error([&] { (void)restore_checkpoint(checkpoint); });
+  EXPECT_NE(checkpoint_error.find("unsupported state_version 1"),
+            std::string::npos)
+      << checkpoint_error;
+  // Only the version stands in the way: the same document stamped v2
+  // restores.
+  checkpoint["engine"]["state_version"] = engine_state_version;
+  EXPECT_NO_THROW((void)restore_checkpoint(checkpoint));
 }
 
 }  // namespace

@@ -455,6 +455,76 @@ TEST(ServeDurability, CorruptSpillsAreQuarantinedNotFatal) {
   }
 }
 
+TEST(ServeDurability, OldSamplingLawSpillsAreQuarantinedOnBoot) {
+  // Spills written under an earlier engine_state_version (a multibatch and
+  // a batched session here) must not resume under this build's law: boot
+  // quarantines them with the version reason and keeps serving.
+  temp_dir store;
+  serve_config config;
+  config.store_dir = store.path();
+  {
+    serve_app app(config);
+    (void)handle_json(
+        app,
+        make_request("POST", "/sessions",
+                     create_body(majority_recipe(), "multibatch", 11)),
+        201);
+    (void)handle_json(app,
+                      make_request("POST", "/sessions",
+                                   create_body(rumor_recipe(), "batched", 12)),
+                      201);
+    for (const char* id : {"s1", "s2"}) {
+      (void)handle_json(app,
+                        make_request("POST", std::string("/sessions/") + id +
+                                                 "/advance",
+                                     R"({"interactions": 1234})"),
+                        200);
+    }
+  }
+  for (const char* id : {"s1", "s2"}) {
+    store_file spilled = parse_store_envelope(
+        json::parse(read_bytes(spill_path(store, id))));
+    spilled.checkpoint["engine"]["state_version"] = std::uint64_t{1};
+    std::string error;
+    ASSERT_TRUE(atomic_write_file(spill_path(store, id),
+                                  store_envelope(spilled).dump_string(true),
+                                  &error))
+        << error;
+  }
+
+  serve_app rebooted(config);
+  (void)handle_json(rebooted, make_request("GET", "/sessions/s1"), 404);
+  (void)handle_json(rebooted, make_request("GET", "/sessions/s2"), 404);
+  const json stats = handle_json(rebooted, make_request("GET", "/stats"), 200);
+  const json* durability = stats.find("durability");
+  ASSERT_NE(durability, nullptr);
+  EXPECT_EQ(durability->find("recovered_sessions")->as_uint64(), 0u);
+  const json* quarantined = durability->find("quarantined");
+  ASSERT_NE(quarantined, nullptr);
+  ASSERT_EQ(quarantined->size(), 2u) << quarantined->dump_string(false);
+  for (const json& entry : quarantined->items()) {
+    EXPECT_NE(entry.as_string().find("unsupported state_version 1"),
+              std::string::npos)
+        << entry.as_string();
+  }
+  EXPECT_EQ(store.entries("quarantine").size(), 2u);
+
+  // A fresh session is served as usual.
+  const std::string fresh =
+      handle_json(rebooted,
+                  make_request("POST", "/sessions",
+                               create_body(majority_recipe(), "multibatch", 13)),
+                  201)
+          .find("id")
+          ->as_string();
+  const json advanced = handle_json(
+      rebooted,
+      make_request("POST", "/sessions/" + fresh + "/advance",
+                   R"({"interactions": 500})"),
+      200);
+  EXPECT_EQ(json_require_uint(advanced, "interactions", "advance"), 500u);
+}
+
 // --- degradation under injected disk failures ------------------------------
 
 TEST(ServeDurability, SpillFailureDegradesSessionNotDaemon) {
