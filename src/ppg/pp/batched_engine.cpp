@@ -9,7 +9,10 @@ batched_engine::batched_engine(const protocol& proto,
                                rng gen, pair_sampling sampling,
                                std::shared_ptr<const kernel_table> kernel)
     : kernel_(kernel ? std::move(kernel)
-                       : std::make_shared<const kernel_table>(proto)), counts_(std::move(initial_counts)), n_(0), gen_(gen) {
+                     : std::make_shared<const kernel_table>(proto)),
+      counts_(std::move(initial_counts)),
+      n_(0),
+      gen_(gen) {
   PPG_CHECK(sampling == pair_sampling::distinct,
             "batched engine supports pair_sampling::distinct only; use the "
             "census engine for with_replacement sampling");
@@ -27,21 +30,17 @@ batched_engine::batched_engine(const protocol& proto,
   // non-identity mass (at most n(n-1) total) in range.
   PPG_CHECK(n_ <= 3'000'000'000ull, "batched engine caps n at 3e9");
   const std::size_t q = kernel_->num_states();
-  responder_in_row_.assign(q * q, 0);
-  is_active_row_.assign(q, 0);
-  rows_with_responder_.assign(q, {});
+  mask_words_ = (q + 63) / 64;
+  responder_column_.assign(q * mask_words_, 0);
   for (agent_state u = 0; u < q; ++u) {
     bool row_active = false;
     for (agent_state v = 0; v < q; ++v) {
       if (kernel_->identity(u, v)) continue;
       row_active = true;
-      responder_in_row_[u * q + v] = 1;
-      rows_with_responder_[v].push_back(u);
+      const std::uint64_t row_bit = std::uint64_t{1} << (u % 64);
+      responder_column_[v * mask_words_ + u / 64] |= row_bit;
     }
-    if (row_active) {
-      active_rows_.push_back(u);
-      is_active_row_[u] = 1;
-    }
+    if (row_active) active_rows_.push_back(u);
   }
   rebuild_row_sums();
 }
@@ -51,7 +50,7 @@ void batched_engine::rebuild_row_sums() {
   row_responder_sum_.assign(q, 0);
   for (agent_state u = 0; u < q; ++u) {
     for (agent_state v = 0; v < q; ++v) {
-      if (responder_in_row_[u * q + v] != 0) {
+      if (in_row(u, v) != 0) {
         row_responder_sum_[u] += counts_[v];
       }
     }
@@ -100,36 +99,43 @@ void batched_engine::restore_state(const json& snapshot) {
 }
 
 std::uint64_t batched_engine::row_weight(std::size_t row) const {
-  const std::size_t q = kernel_->num_states();
-  const std::uint64_t self = responder_in_row_[row * q + row];
-  return counts_[row] * (row_responder_sum_[row] - self);
+  return counts_[row] * (row_responder_sum_[row] - in_row(row, row));
 }
 
-void batched_engine::add_count(agent_state state, std::int64_t delta) {
-  // Single-pass incremental update of the total weight: expanding the row
-  // products c_u * (R_u - s_u) around the count change gives
-  //   d(active) = delta * [ (R_state - s_state)           (row rescales)
-  //                       + sum_{u : state in S_u} c_u ]  (R_u shifts)
-  // where the first term reads R_state *before* its own shift and the sum
-  // reads c_u *after* the count update (so the u == state cross term uses
-  // the new count). One extra accumulate inside the loop the responder
-  // sums already needed, one multiply at the end — no per-batch re-sum
-  // over active_rows_.
-  const std::size_t q = kernel_->num_states();
-  std::int64_t scaled = 0;
-  if (is_active_row_[state] != 0) {
-    scaled = static_cast<std::int64_t>(row_responder_sum_[state] -
-                                       responder_in_row_[state * q + state]);
-  }
-  counts_[state] = static_cast<std::uint64_t>(
-      static_cast<std::int64_t>(counts_[state]) + delta);
-  for (const auto u : rows_with_responder_[state]) {
-    row_responder_sum_[u] = static_cast<std::uint64_t>(
-        static_cast<std::int64_t>(row_responder_sum_[u]) + delta);
-    scaled += static_cast<std::int64_t>(counts_[u]);
+void batched_engine::move_agent(agent_state from, agent_state to) {
+  if (from == to) return;
+  // Expanding the row products c_u * (R_u - s_u) around the move gives
+  //   d(active) = -(R_from - s_from) + (R_to - s_to)   (the two rows rescale)
+  //             + sum_{u in D} d_u * c'_u              (R_u shifts)
+  // with the rescale terms read before any shift, D the rows whose
+  // responder set holds exactly one of the two states, d_u = +1 when it
+  // holds `to`, and c' the post-move counts. Inactive rows have R = s = 0,
+  // so their rescale terms vanish. Rows whose responder set holds both
+  // states or neither are untouched: a move within one responder class
+  // (e.g. a one-way k-IGT level change) costs O(1).
+  std::int64_t delta =
+      static_cast<std::int64_t>(row_responder_sum_[to] - in_row(to, to)) -
+      static_cast<std::int64_t>(row_responder_sum_[from] - in_row(from, from));
+  --counts_[from];
+  ++counts_[to];
+  const std::uint64_t* from_column = &responder_column_[from * mask_words_];
+  const std::uint64_t* to_column = &responder_column_[to * mask_words_];
+  // Shifts R_u by `sign` for every row u set in `rows`, word `word`.
+  const auto shift = [&](std::uint64_t rows, std::size_t word,
+                         std::int64_t sign) {
+    for (; rows != 0; rows &= rows - 1) {
+      const std::size_t u =
+          word * 64 + static_cast<std::size_t>(__builtin_ctzll(rows));
+      row_responder_sum_[u] += static_cast<std::uint64_t>(sign);
+      delta += sign * static_cast<std::int64_t>(counts_[u]);
+    }
+  };
+  for (std::size_t word = 0; word < mask_words_; ++word) {
+    shift(to_column[word] & ~from_column[word], word, 1);
+    shift(from_column[word] & ~to_column[word], word, -1);
   }
   active_weight_ = static_cast<std::uint64_t>(
-      static_cast<std::int64_t>(active_weight_) + delta * scaled);
+      static_cast<std::int64_t>(active_weight_) + delta);
 }
 
 void batched_engine::apply_active(std::uint64_t active) {
@@ -144,21 +150,18 @@ void batched_engine::apply_active(std::uint64_t active) {
     // Row u holds the interaction. Decompose target = slot * row_sum + r:
     // the remainder r is uniform over the responder slots of the row and
     // independent of the (discarded) initiator-agent slot.
-    const std::uint64_t self = responder_in_row_[u * q + u];
-    const std::uint64_t row_sum = row_responder_sum_[u] - self;
+    const std::uint64_t row_sum = row_responder_sum_[u] - in_row(u, u);
     std::uint64_t r = target % row_sum;
     for (agent_state v = 0; v < q; ++v) {
-      if (!responder_in_row_[u * q + v]) continue;
+      if (in_row(u, v) == 0) continue;
       const std::uint64_t c = counts_[v] - (v == u ? 1u : 0u);
       if (r >= c) {
         r -= c;
         continue;
       }
       const auto [next_initiator, next_responder] = kernel_->sample(u, v, gen_);
-      add_count(u, -1);
-      add_count(v, -1);
-      add_count(next_initiator, 1);
-      add_count(next_responder, 1);
+      move_agent(u, next_initiator);
+      move_agent(v, next_responder);
       return;
     }
     break;

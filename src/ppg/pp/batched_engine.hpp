@@ -13,10 +13,10 @@
 // Non-identity mass is tracked in row-collapsed form: for each initiator
 // state u, S_u is the (static, kernel-derived) set of responder states v
 // with a non-identity pair (u, v), and R_u = sum of counts over S_u is
-// maintained incrementally as counts change; the total non-identity weight
-// is itself maintained by the same add_count pass (a single delta
-// expansion of the row products), so a batch costs O(1) beyond the four
-// count updates of its census change.
+// maintained incrementally as agents move; the total non-identity weight is
+// updated in the same pass (a delta expansion of the row products). Each
+// agent move costs O(1) plus the rows whose responder set contains exactly
+// one of its two states — none for a one-way k-IGT level change.
 #pragma once
 
 #include <cstdint>
@@ -41,7 +41,7 @@ class batched_engine final : public sim_engine {
   batched_engine(const protocol& proto,
                  std::vector<std::uint64_t> initial_counts, rng gen,
                  pair_sampling sampling = pair_sampling::distinct,
-                               std::shared_ptr<const kernel_table> kernel = nullptr);
+                 std::shared_ptr<const kernel_table> kernel = nullptr);
 
   void step() override;
   void run(std::uint64_t steps) override;
@@ -88,9 +88,17 @@ class batched_engine final : public sim_engine {
   /// census (no non-identity mass) consumes the whole budget.
   [[nodiscard]] std::uint64_t advance_batch(std::uint64_t budget);
 
-  /// Count update that maintains the row responder sums R_u and the total
-  /// non-identity weight active_weight_.
-  void add_count(agent_state state, std::int64_t delta);
+  /// 1 iff `responder` is in S_row, i.e. (row, responder) is non-identity.
+  [[nodiscard]] std::uint64_t in_row(std::size_t row,
+                                     std::size_t responder) const {
+    return (responder_column_[responder * mask_words_ + row / 64] >>
+            (row % 64)) &
+           1u;
+  }
+
+  /// Moves one agent from state `from` to `to`, maintaining the counts, the
+  /// row responder sums R_u and the total non-identity weight.
+  void move_agent(agent_state from, agent_state to);
 
   std::shared_ptr<const kernel_table> kernel_;
   std::vector<std::uint64_t> counts_;
@@ -100,16 +108,15 @@ class batched_engine final : public sim_engine {
   std::uint64_t batches_ = 0;
   /// Initiator states with at least one non-identity pair.
   std::vector<agent_state> active_rows_;
-  /// q*q flags: responder_in_row_[u*q + v] iff (u, v) is non-identity.
-  std::vector<std::uint8_t> responder_in_row_;
-  /// Flags active initiator rows (the states listed in active_rows_).
-  std::vector<std::uint8_t> is_active_row_;
-  /// For each state w, the initiator rows u with w in S_u.
-  std::vector<std::vector<agent_state>> rows_with_responder_;
+  /// 64-bit words per responder column: ceil(q / 64).
+  std::size_t mask_words_ = 0;
+  /// For each state w, the bitmask of initiator rows u with w in S_u, as
+  /// mask_words_ consecutive words (bit u % 64 of word u / 64).
+  std::vector<std::uint64_t> responder_column_;
   /// R_u = sum of counts over S_u, maintained incrementally.
   std::vector<std::uint64_t> row_responder_sum_;
   /// Total weight of non-identity pairs, maintained incrementally by
-  /// add_count; the next census change is interaction
+  /// move_agent; the next census change is interaction
   /// Geometric(active_weight_ / (n(n-1))) + 1 from now.
   std::uint64_t active_weight_ = 0;
 };

@@ -10,9 +10,12 @@
 // n = 1000: the multibatch aggregate threshold is 16 pairs and E[J] ~ 20,
 // so most rounds apply their collision-free run on the aggregate path.
 // run() advances in chunks of 97, so rounds are routinely truncated and
-// carried across calls. The census engine is the control. Seeds are fixed
-// and the level is Bonferroni-corrected over the accepting tests, so the
-// outcome is deterministic; a temperature-0.6 engine must be rejected.
+// carried across calls. The batched engine runs the same chains with every
+// pair non-identity (no geometric skips); one-way k-IGT (k = 3) with AC,
+// AD and GTFT agents all present exercises its identity-skipping path. The
+// census engine is the control. Seeds are fixed and the level is
+// Bonferroni-corrected over the accepting tests, so the outcome is
+// deterministic; temperature-0.6 engines must be rejected.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -23,6 +26,7 @@
 #include <utility>
 #include <vector>
 
+#include "ppg/core/igt_protocol.hpp"
 #include "ppg/games/game_matrix.hpp"
 #include "ppg/games/game_protocol.hpp"
 #include "ppg/games/update_rule.hpp"
@@ -101,37 +105,51 @@ game_protocol hawk_dove(double temperature, revision_discipline discipline) {
           std::make_shared<logit_response_rule>(temperature), discipline};
 }
 
-constexpr std::uint64_t n = 1000;
-constexpr std::uint64_t horizon = n;  // one unit of parallel time
-constexpr std::uint64_t chunk = 97;   // truncates rounds mid-flight
-constexpr std::size_t replicas = 4000;
-const census_vector initial = {800, 200};
-// Two disciplines x two engines accept at this family-wise level.
-constexpr double family_level = 0.01;
-constexpr double per_test_level = family_level / 4.0;
+/// Where a replica starts, how far it runs, and the run() chunk it
+/// advances by.
+struct law_setup {
+  census_vector initial;
+  std::uint64_t horizon;
+  std::uint64_t chunk;
+};
 
-/// Exact pmf of the census after `horizon` interactions from `initial`.
-std::vector<double> exact_pmf(const census_chain& cc) {
+constexpr std::uint64_t n = 1000;
+// One unit of parallel time from (800, 200); chunks of 97 truncate
+// multibatch rounds mid-flight.
+const law_setup hawk_dove_setup = {{800, 200}, n, 97};
+// One-way 3-IGT over (AC, AD, g1, g2, g3) at n = 24: the AC and AD counts
+// never change and the 12 GTFT agents walk the ladder from level 0. The
+// horizon makes each GTFT agent the initiator twice in expectation.
+const law_setup igt_setup = {{8, 4, 12, 0, 0}, 48, 5};
+constexpr std::size_t replicas = 4000;
+// Three engines x two hawk-dove disciplines plus two engines on IGT accept
+// at this family-wise level.
+constexpr double family_level = 0.01;
+constexpr double per_test_level = family_level / 8.0;
+
+/// Exact pmf of the census after `setup.horizon` interactions from
+/// `setup.initial`.
+std::vector<double> exact_pmf(const census_chain& cc, const law_setup& setup) {
   std::vector<double> mu(cc.index.size(), 0.0);
-  mu[cc.index.at(initial)] = 1.0;
-  return cc.chain.evolve(std::move(mu), horizon);
+  mu[cc.index.at(setup.initial)] = 1.0;
+  return cc.chain.evolve(std::move(mu), setup.horizon);
 }
 
 /// p-value of `replicas` runs of `kind` on `proto` against `pmf`.
 double engine_p_value(const protocol& proto, engine_kind kind,
-                      const census_chain& cc, const std::vector<double>& pmf,
-                      std::uint64_t master) {
-  const sim_spec spec(proto, initial);
+                      const law_setup& setup, const census_chain& cc,
+                      const std::vector<double>& pmf, std::uint64_t master) {
+  const sim_spec spec(proto, setup.initial);
   std::vector<std::uint64_t> observed(pmf.size(), 0);
   for (std::size_t r = 0; r < replicas; ++r) {
     rng gen = make_stream_rng(master, r);
     const auto engine = spec.make_engine(kind, gen);
-    for (std::uint64_t done = 0; done < horizon; done += chunk) {
-      engine->run(std::min(chunk, horizon - done));
+    for (std::uint64_t done = 0; done < setup.horizon; done += setup.chunk) {
+      engine->run(std::min(setup.chunk, setup.horizon - done));
     }
-    EXPECT_EQ(engine->interactions(), horizon);
+    EXPECT_EQ(engine->interactions(), setup.horizon);
     const census_view view = engine->census();
-    census_vector c(initial.size());
+    census_vector c(setup.initial.size());
     for (std::size_t s = 0; s < c.size(); ++s) {
       c[s] = view.count(static_cast<agent_state>(s));
     }
@@ -153,13 +171,26 @@ TEST(ExactLaw, EnginesMatchTheExactCensusChain) {
     const game_protocol proto = hawk_dove(0.5, discipline);
     const census_chain cc = build_census_chain(proto, n);
     ASSERT_TRUE(cc.chain.is_stochastic());
-    const std::vector<double> pmf = exact_pmf(cc);
-    for (const auto kind : {engine_kind::multibatch, engine_kind::census}) {
-      const double p = engine_p_value(proto, kind, cc, pmf, 1301);
+    const std::vector<double> pmf = exact_pmf(cc, hawk_dove_setup);
+    for (const auto kind : {engine_kind::multibatch, engine_kind::batched,
+                            engine_kind::census}) {
+      const double p =
+          engine_p_value(proto, kind, hawk_dove_setup, cc, pmf, 1301);
       EXPECT_GT(p, per_test_level)
           << engine_kind_name(kind) << " two_way="
           << (discipline == revision_discipline::two_way);
     }
+  }
+}
+
+TEST(ExactLaw, OneWayIgtMatchesTheExactCensusChain) {
+  const igt_protocol proto(3, igt_discipline::one_way);
+  const census_chain cc = build_census_chain(proto, 24);
+  ASSERT_TRUE(cc.chain.is_stochastic());
+  const std::vector<double> pmf = exact_pmf(cc, igt_setup);
+  for (const auto kind : {engine_kind::batched, engine_kind::census}) {
+    const double p = engine_p_value(proto, kind, igt_setup, cc, pmf, 1303);
+    EXPECT_GT(p, per_test_level) << engine_kind_name(kind);
   }
 }
 
@@ -168,12 +199,15 @@ TEST(ExactLaw, RejectsAnEngineAtTheWrongTemperature) {
   for (const auto discipline :
        {revision_discipline::one_way, revision_discipline::two_way}) {
     const census_chain cc = build_census_chain(hawk_dove(0.5, discipline), n);
-    const std::vector<double> pmf = exact_pmf(cc);
+    const std::vector<double> pmf = exact_pmf(cc, hawk_dove_setup);
     const game_protocol wrong = hawk_dove(0.6, discipline);
-    const double p =
-        engine_p_value(wrong, engine_kind::multibatch, cc, pmf, 1302);
-    EXPECT_LT(p, per_test_level)
-        << "two_way=" << (discipline == revision_discipline::two_way);
+    for (const auto kind : {engine_kind::multibatch, engine_kind::batched}) {
+      const double p =
+          engine_p_value(wrong, kind, hawk_dove_setup, cc, pmf, 1302);
+      EXPECT_LT(p, per_test_level)
+          << engine_kind_name(kind) << " two_way="
+          << (discipline == revision_discipline::two_way);
+    }
   }
 }
 
