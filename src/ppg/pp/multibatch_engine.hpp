@@ -13,8 +13,8 @@
 //  1. the number of collision-free interactions J before the first
 //     interaction re-using a touched agent follows the exact birthday law
 //     P(J > j) = prod_{i<j} (n-2i)(n-2i-1) / (n(n-1)), drawn by inversion
-//     of the log-survival recurrence, checkpointed once per population size
-//     (stats/discrete_sampling's collision_run_sampler);
+//     of the log-survival recurrence, grown on demand up to the largest J
+//     drawn so far (stats/discrete_sampling's collision_run_sampler);
 //  2. the q x q table of ordered state-pair counts of those J interactions
 //     is drawn jointly, once per applied run, from multivariate
 //     hypergeometrics over the untouched census (initiator sample, then
@@ -147,7 +147,7 @@ class multibatch_engine final : public sim_engine {
   /// Runs below this take the sequential per-pair path (the O(q^2)
   /// aggregate tables would cost more than per-pair sampling).
   std::uint64_t aggregate_threshold_;
-  collision_run_sampler birthday_;  ///< checkpointed once per population size
+  collision_run_sampler birthday_;  ///< grown lazily by sample()
   // Per-round scratch, reused across rounds.
   std::vector<std::uint64_t> initiators_;  ///< the run's initiator census
   std::vector<std::uint64_t> responders_;  ///< the run's responder census

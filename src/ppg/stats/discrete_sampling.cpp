@@ -218,27 +218,9 @@ std::vector<std::uint64_t> sample_multinomial(std::uint64_t m,
 collision_run_sampler::collision_run_sampler(std::uint64_t n)
     : n_(n),
       log_pairs_(std::log(static_cast<double>(n)) +
-                 std::log(static_cast<double>(n - 1))) {
+                 std::log(static_cast<double>(n - 1))),
+      checkpoints_(1, 0.0) {
   PPG_CHECK(n >= 2, "the birthday law needs at least two agents");
-  // Run the recurrence until the survival falls below every level a
-  // positive next_double() can produce: the smallest positive 53-bit
-  // uniform is 2^-53, log = -36.74, so values below -38 are unreachable by
-  // inversion.
-  constexpr double log_cutoff = -38.0;
-  const std::uint64_t support_max = n / 2;
-  const double expected_max =
-      std::min<double>(static_cast<double>(support_max),
-                       std::sqrt(19.5 * static_cast<double>(n)) + 16.0);
-  checkpoints_.reserve(static_cast<std::size_t>(expected_max) /
-                           checkpoint_stride +
-                       1);
-  double ls = 0.0;
-  checkpoints_.push_back(ls);
-  while (j_max_ < support_max && ls >= log_cutoff) {
-    ls += log_step(j_max_);
-    ++j_max_;
-    if (j_max_ % checkpoint_stride == 0) checkpoints_.push_back(ls);
-  }
 }
 
 double collision_run_sampler::log_step(std::uint64_t j) const {
@@ -246,8 +228,31 @@ double collision_run_sampler::log_step(std::uint64_t j) const {
          std::log(static_cast<double>(n_ - 2 * j - 1)) - log_pairs_;
 }
 
+bool collision_run_sampler::growing() const {
+  // The recurrence ends at the support's end (the pool holds at most n/2
+  // pairs) or once the survival falls below every level a positive
+  // next_double() can produce: the smallest positive 53-bit uniform is
+  // 2^-53, log = -36.74, so values below -38 are unreachable by inversion.
+  constexpr double log_cutoff = -38.0;
+  return reached_ < n_ / 2 && log_s_reached_ >= log_cutoff;
+}
+
+void collision_run_sampler::extend() const {
+  log_s_reached_ += log_step(reached_);
+  ++reached_;
+  if (reached_ % checkpoint_stride == 0) {
+    checkpoints_.push_back(log_s_reached_);
+  }
+}
+
+std::uint64_t collision_run_sampler::j_max() const {
+  while (growing()) extend();
+  return reached_;
+}
+
 double collision_run_sampler::log_survival(std::uint64_t j) const {
-  PPG_CHECK(j <= j_max_, "collision_run_sampler: j beyond the recurrence");
+  while (reached_ < j && growing()) extend();
+  PPG_CHECK(j <= reached_, "collision_run_sampler: j beyond the recurrence");
   std::uint64_t at = j - j % checkpoint_stride;
   double ls = checkpoints_[static_cast<std::size_t>(at / checkpoint_stride)];
   for (; at < j; ++at) ls += log_step(at);
@@ -258,17 +263,21 @@ std::uint64_t collision_run_sampler::sample(rng& gen) const {
   double u = gen.next_double();
   while (u <= 0.0) u = gen.next_double();
   const double log_u = std::log(u);
+  // Run the recurrence until it falls below log u or ends. The answer then
+  // lies at or before reached_, and the stored checkpoints are a prefix of
+  // the complete table's that holds every checkpoint the search can reach.
+  while (log_s_reached_ >= log_u && growing()) extend();
   // Last checkpoint with log S >= log u. Checkpoint 0 is log 1 = 0 > log u,
   // and S is non-increasing, so the answer lies in [16k, 16k + 15] (capped
-  // at j_max, past which the recurrence is either unreachable by any
-  // log u or the end of the support: the pool holds at most n/2 pairs).
+  // at reached_: either S(reached_) < U or reached_ = j_max, past which no
+  // log u can reach).
   const auto first_below =
       std::partition_point(checkpoints_.begin(), checkpoints_.end(),
                            [&](double entry) { return entry >= log_u; });
   const auto k =
       static_cast<std::uint64_t>(first_below - checkpoints_.begin()) - 1;
   std::uint64_t j = k * checkpoint_stride;
-  const std::uint64_t last = std::min(j + checkpoint_stride - 1, j_max_);
+  const std::uint64_t last = std::min(j + checkpoint_stride - 1, reached_);
   double ls = checkpoints_[static_cast<std::size_t>(k)];
   for (; j < last; ++j) {
     ls += log_step(j);

@@ -71,12 +71,18 @@ void sample_multinomial(std::uint64_t m, const double* probs,
 /// log S(j+1) = log S(j) + log(n-2j) + log(n-2j-1) - log(n(n-1)) up to
 /// j_max = O(sqrt(n)), where it falls below the finest level a 53-bit
 /// uniform can resolve (~sqrt(19 n) pairs) or reaches the end of the
-/// support. The sampler runs the recurrence once per population size but
-/// keeps only every 16th value (checkpoint k holds log S(16k)); a draw
-/// binary-searches the checkpoints, then walks at most 15 increments with
-/// the same expression in the same order. Every log S(j) it compares is
-/// therefore bit-identical to a dense table's entry, so draws equal dense
-/// inversion draw for draw, at 1/16 of the memory (~22 KB at n = 10^8).
+/// support. The sampler runs the recurrence on demand: construction is
+/// O(1), and a draw extends it only until it falls below that draw's
+/// uniform, so over its life it runs one step past the largest J drawn and
+/// never more than j_max steps. It keeps only every 16th value
+/// (checkpoint k holds log S(16k)); a draw binary-searches the checkpoints,
+/// then walks at most 15 increments with the same expression in the same
+/// order. Every log S(j) it compares is therefore bit-identical to a dense
+/// table's entry, so draws equal dense inversion draw for draw, at 1/16 of
+/// the memory (at most ~22 KB at n = 10^8).
+///
+/// The const members grow a mutable cache, so one sampler must not be used
+/// from two threads at once; each engine owns its own.
 class collision_run_sampler {
  public:
   explicit collision_run_sampler(std::uint64_t n);
@@ -88,14 +94,16 @@ class collision_run_sampler {
   /// round cannot collide — so the clamp only guards log-domain rounding).
   [[nodiscard]] std::uint64_t sample(rng& gen) const;
 
-  /// The last index the recurrence covers.
-  [[nodiscard]] std::uint64_t j_max() const { return j_max_; }
+  /// The last index the recurrence covers; runs it to the end.
+  [[nodiscard]] std::uint64_t j_max() const;
 
   /// log P(J > j) for j <= j_max, recomputed from the nearest checkpoint
   /// exactly as sample() sees it; exposed for the law tests.
   [[nodiscard]] double log_survival(std::uint64_t j) const;
 
-  /// Number of stored checkpoints, floor(j_max / 16) + 1.
+  /// Number of checkpoints stored so far, floor(reached / 16) + 1 where
+  /// `reached` is the furthest index the recurrence has been run to; does
+  /// not extend it.
   [[nodiscard]] std::size_t stored_entries() const {
     return checkpoints_.size();
   }
@@ -104,10 +112,21 @@ class collision_run_sampler {
   /// The recurrence's increment from log S(j) to log S(j+1).
   [[nodiscard]] double log_step(std::uint64_t j) const;
 
+  /// Whether the recurrence continues past reached_.
+  [[nodiscard]] bool growing() const;
+
+  /// Runs the recurrence one step, storing log S(reached_) if it is a
+  /// checkpoint. Requires growing().
+  void extend() const;
+
   std::uint64_t n_;
-  double log_pairs_;                ///< log n + log(n-1)
-  std::uint64_t j_max_ = 0;
-  std::vector<double> checkpoints_;  ///< log S(16k), k = 0..j_max/16
+  double log_pairs_;  ///< log n + log(n-1)
+  // The recurrence's frontier, grown by the const members. No lock: a
+  // sampler is never used from two threads at once (each engine owns its
+  // own).
+  mutable std::uint64_t reached_ = 0;
+  mutable double log_s_reached_ = 0.0;       ///< log S(reached_)
+  mutable std::vector<double> checkpoints_;  ///< log S(16k), 16k <= reached_
 };
 
 /// Draws an index from a finite categorical distribution (probs need not be

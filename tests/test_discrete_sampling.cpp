@@ -333,6 +333,36 @@ TEST(DiscreteSampling, CollisionRunSamplerMomentsAndSupport) {
   }
 }
 
+/// Every log S(j) of the birthday law up to the recurrence's end, built
+/// densely with the sampler's evaluation order: ls += (a + b) - c.
+std::vector<double> dense_birthday_table(std::uint64_t n) {
+  const double log_pairs = std::log(static_cast<double>(n)) +
+                           std::log(static_cast<double>(n - 1));
+  std::vector<double> dense = {0.0};
+  for (std::uint64_t j = 0; j < n / 2; ++j) {
+    double ls = dense.back();
+    ls += std::log(static_cast<double>(n - 2 * j)) +
+          std::log(static_cast<double>(n - 2 * j - 1)) - log_pairs;
+    dense.push_back(ls);
+    if (ls < -38.0) break;
+  }
+  return dense;
+}
+
+/// One J by inversion of the dense table: the largest j with
+/// log S(j) >= log u (S is non-increasing), clamped to >= 1.
+std::uint64_t dense_birthday_draw(const std::vector<double>& dense,
+                                  rng& gen) {
+  double u = gen.next_double();
+  while (u <= 0.0) u = gen.next_double();
+  const double log_u = std::log(u);
+  const auto first_below =
+      std::partition_point(dense.begin(), dense.end(),
+                           [&](double entry) { return entry >= log_u; });
+  const auto j = static_cast<std::uint64_t>(first_below - dense.begin());
+  return std::max<std::uint64_t>(j - 1, 1);
+}
+
 TEST(DiscreteSampling, SparseBirthdayTableMatchesDenseInversion) {
   // The sampler stores every 16th log-survival value; inverting a dense
   // table built with the same recurrence must give the same J draw for
@@ -341,17 +371,7 @@ TEST(DiscreteSampling, SparseBirthdayTableMatchesDenseInversion) {
   for (const std::uint64_t n :
        {2ull, 3ull, 1000ull, 100'000'000ull, 3'000'000'000ull}) {
     const collision_run_sampler sampler(n);
-    const double log_pairs = std::log(static_cast<double>(n)) +
-                             std::log(static_cast<double>(n - 1));
-    std::vector<double> dense = {0.0};
-    for (std::uint64_t j = 0; j < n / 2; ++j) {
-      // The recurrence's evaluation order: ls += (a + b) - c.
-      double ls = dense.back();
-      ls += std::log(static_cast<double>(n - 2 * j)) +
-            std::log(static_cast<double>(n - 2 * j - 1)) - log_pairs;
-      dense.push_back(ls);
-      if (ls < -38.0) break;
-    }
+    const std::vector<double> dense = dense_birthday_table(n);
     ASSERT_EQ(sampler.j_max() + 1, dense.size()) << "n=" << n;
     EXPECT_LE(sampler.stored_entries(), (sampler.j_max() + 15) / 16 + 1)
         << "n=" << n;
@@ -363,19 +383,63 @@ TEST(DiscreteSampling, SparseBirthdayTableMatchesDenseInversion) {
     rng gen_sparse(2718);
     rng gen_dense(2718);
     for (int t = 0; t < 100'000; ++t) {
-      double u = gen_dense.next_double();
-      while (u <= 0.0) u = gen_dense.next_double();
-      const double log_u = std::log(u);
-      // Largest j with log S(j) >= log u: S is non-increasing.
-      const auto first_below =
-          std::partition_point(dense.begin(), dense.end(),
-                               [&](double entry) { return entry >= log_u; });
-      const auto j = static_cast<std::uint64_t>(first_below - dense.begin());
-      const std::uint64_t expected = std::max<std::uint64_t>(j - 1, 1);
-      ASSERT_EQ(sampler.sample(gen_sparse), expected)
+      ASSERT_EQ(sampler.sample(gen_sparse),
+                dense_birthday_draw(dense, gen_dense))
           << "n=" << n << " draw " << t;
     }
   }
+}
+
+TEST(DiscreteSampling, LazyBirthdayTableMatchesDenseInversion) {
+  // A fresh sampler grows its recurrence only as far as its draws and
+  // accessors need. Drawing before any accessor call, with log_survival
+  // probes just past the grown prefix interleaved mid-stream, must still
+  // match dense inversion draw for draw and value for value. At n = 10 the
+  // draws reach the support's end (S(5) ~ 6e-4).
+  for (const std::uint64_t n :
+       {2ull, 3ull, 10ull, 1000ull, 100'000'000ull, 3'000'000'000ull}) {
+    const collision_run_sampler sampler(n);
+    const std::vector<double> dense = dense_birthday_table(n);
+    const std::size_t full_entries = (dense.size() - 1) / 16 + 1;
+    rng gen_sparse(3141);
+    rng gen_dense(3141);
+    rng gen_probe(1618);
+    for (int t = 0; t < 100'000; ++t) {
+      ASSERT_EQ(sampler.sample(gen_sparse),
+                dense_birthday_draw(dense, gen_dense))
+          << "n=" << n << " draw " << t;
+      if (t == 0 && n >= 1000) {
+        EXPECT_LT(sampler.stored_entries(), full_entries) << "n=" << n;
+      }
+      if (t % 1000 == 999) {
+        // A probe at most two strides past the stored checkpoints, so it
+        // sometimes grows the recurrence ahead of the draws.
+        const std::uint64_t grown = 16 * sampler.stored_entries();
+        const std::uint64_t j = std::min<std::uint64_t>(
+            gen_probe.next_below(grown + 32), dense.size() - 1);
+        ASSERT_EQ(sampler.log_survival(j), dense[j])
+            << "n=" << n << " j=" << j;
+      }
+    }
+    ASSERT_EQ(sampler.j_max() + 1, dense.size()) << "n=" << n;
+  }
+}
+
+TEST(DiscreteSampling, BirthdayConstructionStoresOneCheckpoint) {
+  // Construction runs none of the recurrence; draws grow it to their
+  // largest J; j_max() runs it to the end.
+  const std::uint64_t n = 3'000'000'000ull;
+  const collision_run_sampler sampler(n);
+  EXPECT_EQ(sampler.stored_entries(), 1u);
+  rng gen(577);
+  std::uint64_t max_j = 0;
+  for (int t = 0; t < 1000; ++t) {
+    max_j = std::max(max_j, sampler.sample(gen));
+  }
+  EXPECT_LE(sampler.stored_entries(), (max_j + 15) / 16 + 1);
+  const std::uint64_t j_max = sampler.j_max();
+  EXPECT_GT(j_max, max_j);
+  EXPECT_EQ(sampler.stored_entries(), j_max / 16 + 1);
 }
 
 }  // namespace

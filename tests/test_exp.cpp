@@ -6,15 +6,22 @@
 #include <atomic>
 #include <cmath>
 #include <condition_variable>
+#include <cstdint>
+#include <memory>
 #include <mutex>
 #include <set>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "ppg/core/igt_count_chain.hpp"
 #include "ppg/core/igt_protocol.hpp"
 #include "ppg/exp/replicate.hpp"
+#include "ppg/games/game_matrix.hpp"
+#include "ppg/games/game_protocol.hpp"
+#include "ppg/games/update_rule.hpp"
+#include "ppg/pp/engine.hpp"
 #include "ppg/stats/ecdf.hpp"
 #include "ppg/util/thread_pool.hpp"
 
@@ -172,6 +179,29 @@ TEST(BatchRunner, ScalarAggregateDeterministicAcrossThreadCounts) {
   EXPECT_EQ(a.mean(), c.mean());
   EXPECT_EQ(a.std_error(), c.std_error());
   EXPECT_EQ(a.quantile(0.5), c.quantile(0.5));
+}
+
+// Multibatch engines grow their birthday tables lazily inside const
+// draws; replicas on concurrent workers must each grow their own and end
+// in the same state as a serial batch (under TSan this also race-checks
+// that growth).
+TEST(BatchRunner, MultibatchReplicasBitIdenticalAcrossThreadCounts) {
+  const game_protocol proto(hawk_dove_matrix(1.0, 2.0),
+                            std::make_shared<logit_response_rule>(0.5),
+                            revision_discipline::one_way);
+  constexpr std::uint64_t n = 1'000'000;
+  const sim_spec spec(proto, std::vector<std::uint64_t>{n / 2, n - n / 2});
+  const auto body = [&](const replica_context&, rng& gen) {
+    const auto engine = spec.make_engine(engine_kind::multibatch, gen);
+    engine->run(std::uint64_t{1} << 20);
+    return engine->save_state().dump_string(false);
+  };
+  const auto serial = batch_runner({8, 4242, 1}).run(body);
+  const auto parallel = batch_runner({8, 4242, 4}).run(body);
+  ASSERT_EQ(serial.size(), 8u);
+  for (std::size_t r = 0; r < serial.size(); ++r) {
+    EXPECT_EQ(serial[r], parallel[r]) << "replica " << r;
+  }
 }
 
 TEST(BatchRunner, PropagatesReplicaExceptions) {
