@@ -1,234 +1,23 @@
-// Engine and subsystem throughput scenarios (replacing the old
-// google-benchmark bench_throughput binary with registry scenarios whose
-// rates land in the same JSON trajectory as every other experiment).
+// Batch-replication throughput scenario: aggregate interactions/second
+// of batch_runner at several worker-thread counts, plus the
+// bit-identical-aggregates determinism check across those counts.
 //
-//  - throughput_engines: interactions per second of the pluggable
-//    simulation engines (agent / census / batched / multibatch, selected
-//    via sim_spec::make_engine) on the one-way IGT kernel (dense and
-//    dilute) and on dense matrix games (hawk-dove, rock-paper-scissors).
-//    The census engine's per-interaction cost is O(q) and independent of
-//    n, the batched engine skips runs of identity interactions in one
-//    geometric draw (huge in the dilute regime, inert on dense games), and
-//    the multibatch engine advances in aggregated ~sqrt(n)-interaction
-//    rounds, so it is the engine that stays sublinear on dense kernels.
-//  - throughput_batch: aggregate throughput and thread scaling of the
-//    batch-replication engine, plus the bit-identical-aggregates
-//    determinism check across thread counts.
-//  - throughput_micro: single-component rates (count chains, exact-chain
-//    distribution step, payoff oracles, rollouts).
-//
-// Everything wall-clock-derived (rates AND cross-engine speedups) is
-// recorded without a regression goal: CI hardware varies, so only
-// seed-deterministic quantities (here: the thread-determinism flag) gate
-// the regression check — see scripts/check_bench.py.
+// The rates are wall-clock and carry no regression goal (CI hardware
+// varies); only the seed-deterministic thread_determinism flag gates the
+// regression check (scripts/check_bench.py). Engine throughput is timed by
+// perfbench (perfbench/run.py), with repeated samples and per-layer traces.
 #include <string>
 #include <vector>
 
-#include "ppg/core/igt_count_chain.hpp"
 #include "ppg/core/igt_protocol.hpp"
-#include "ppg/ehrenfest/exact_chain.hpp"
-#include "ppg/ehrenfest/process.hpp"
 #include "ppg/exp/replicate.hpp"
 #include "ppg/exp/scenario.hpp"
-#include "ppg/games/closed_form.hpp"
-#include "ppg/games/exact_payoff.hpp"
-#include "ppg/games/game_protocol.hpp"
-#include "ppg/games/rollout.hpp"
-#include "ppg/games/update_rule.hpp"
 #include "ppg/pp/engine.hpp"
-#include "ppg/util/table.hpp"
 #include "ppg/util/timer.hpp"
 
 namespace {
 
 using namespace ppg;
-
-// Runs `chunk()` (which performs `items` units of work) until `min_seconds`
-// of wall clock accumulate, after one untimed warmup call; returns units
-// per second.
-template <typename Chunk>
-double measure_rate(Chunk&& chunk, double items, double min_seconds) {
-  chunk();  // warmup
-  const timer clock;
-  double total = 0.0;
-  do {
-    chunk();
-    total += items;
-  } while (clock.seconds() < min_seconds);
-  return total / clock.seconds();
-}
-
-// A census-form one-way IGT spec (no per-agent array) with GTFT levels
-// initialized at the rounded Theorem 2.7 stationary census, so every row
-// measures steady-state throughput rather than the all-stingy transient.
-sim_spec igt_spec(const igt_protocol& proto, std::uint64_t n, double alpha,
-                  double beta, double gamma) {
-  const auto pop = abg_population::from_fractions(n, alpha, beta, gamma);
-  const auto probs = igt_stationary_probs(pop, proto.k());
-  std::vector<std::uint64_t> counts(proto.num_states(), 0);
-  counts[igt_encoding::ac] = pop.num_ac;
-  counts[igt_encoding::ad] = pop.num_ad;
-  std::uint64_t placed = 0;
-  for (std::size_t j = 0; j + 1 < proto.k(); ++j) {
-    const auto c = static_cast<std::uint64_t>(
-        probs[j] * static_cast<double>(pop.num_gtft));
-    counts[igt_encoding::gtft(j)] = c;
-    placed += c;
-  }
-  counts[igt_encoding::gtft(proto.k() - 1)] = pop.num_gtft - placed;
-  return sim_spec(proto, std::move(counts));
-}
-
-scenario_result run_engines(const scenario_context& ctx) {
-  scenario_result result;
-  const double min_seconds = ctx.pick(0.5, 0.08);
-  const igt_protocol proto(8);
-  result.param("k", 8);
-  result.param("beta", 0.2);
-  result.param("min_seconds_per_row", min_seconds);
-
-  struct row_spec {
-    engine_kind kind;
-    std::uint64_t n;
-    bool dilute;
-    bool full_only;  // n = 10^8 rows are skipped in smoke mode
-  };
-  const std::vector<row_spec> rows = {
-      {engine_kind::agent, 10'000, false, false},
-      {engine_kind::agent, 1'000'000, false, false},
-      {engine_kind::census, 10'000, false, false},
-      {engine_kind::census, 1'000'000, false, false},
-      {engine_kind::census, 100'000'000, false, true},
-      {engine_kind::batched, 10'000, false, false},
-      {engine_kind::batched, 1'000'000, false, false},
-      {engine_kind::batched, 100'000'000, false, true},
-      {engine_kind::multibatch, 10'000, false, false},
-      {engine_kind::multibatch, 1'000'000, false, false},
-      {engine_kind::multibatch, 100'000'000, false, true},
-      {engine_kind::agent, 1'000'000, true, false},
-      {engine_kind::census, 1'000'000, true, false},
-      {engine_kind::census, 100'000'000, true, true},
-      {engine_kind::batched, 1'000'000, true, false},
-      {engine_kind::batched, 100'000'000, true, true},
-      {engine_kind::multibatch, 1'000'000, true, false},
-      {engine_kind::multibatch, 100'000'000, true, true},
-  };
-
-  auto& table = result.table(
-      "interactions/second on the one-way IGT kernel (dense gamma = 0.7, "
-      "dilute\ngamma = 0.05; stationary-census start)",
-      {"engine", "n", "regime", "interactions/s"});
-  double ips_dense_agent_1e6 = 0.0;
-  double ips_dense_batched_1e6 = 0.0;
-  double ips_dilute_agent_1e6 = 0.0;
-  double ips_dilute_batched_1e6 = 0.0;
-  for (const auto& row : rows) {
-    if (row.full_only && ctx.smoke) continue;
-    const double gamma = row.dilute ? 0.05 : 0.7;
-    const sim_spec spec =
-        igt_spec(proto, row.n, 1.0 - 0.2 - gamma, 0.2, gamma);
-    rng gen = ctx.make_rng(row.n + (row.dilute ? 1 : 0) +
-                           static_cast<std::uint64_t>(row.kind) * 7);
-    const auto engine = spec.make_engine(row.kind, gen);
-    constexpr std::uint64_t chunk = 8192;
-    const double ips = measure_rate(
-        [&] { engine->run(chunk); }, static_cast<double>(chunk), min_seconds);
-    const std::string key = std::string("ips_") +
-                            (row.dilute ? "dilute_" : "dense_") +
-                            engine_kind_name(row.kind) + "_n" +
-                            std::to_string(row.n);
-    result.metric(key, ips);
-    if (row.n == 1'000'000) {
-      if (!row.dilute && row.kind == engine_kind::agent) {
-        ips_dense_agent_1e6 = ips;
-      }
-      if (!row.dilute && row.kind == engine_kind::batched) {
-        ips_dense_batched_1e6 = ips;
-      }
-      if (row.dilute && row.kind == engine_kind::agent) {
-        ips_dilute_agent_1e6 = ips;
-      }
-      if (row.dilute && row.kind == engine_kind::batched) {
-        ips_dilute_batched_1e6 = ips;
-      }
-    }
-    table.add_row({engine_kind_name(row.kind),
-                   fmt_count(row.n), row.dilute ? "dilute" : "dense",
-                   format_metric(ips, 4)});
-  }
-
-  // Dense matrix games: the workload where nearly every interaction moves
-  // the census, so the batched engine's identity skipping buys nothing and
-  // only the multibatch engine's aggregated rounds stay sublinear.
-  const auto hawk_dove = hawk_dove_matrix(1.0, 2.0);
-  const auto rps = rock_paper_scissors_matrix();
-  const game_protocol hd_proto(hawk_dove,
-                               std::make_shared<logit_response_rule>(0.5));
-  const game_protocol rps_proto(
-      rps, std::make_shared<proportional_imitation_rule>(0.8));
-  result.param("hawk_dove", "v=1 c=2, logit tau=0.5");
-  result.param("rps", "proportional imitation rate=0.8");
-  struct game_row {
-    const char* game;  ///< table label
-    const char* key;   ///< metric-key fragment (doubles as the rng salt)
-    const game_protocol* proto;
-    engine_kind kind;
-    std::uint64_t n;
-    bool full_only;
-  };
-  std::vector<game_row> game_rows;
-  for (const auto n : {std::uint64_t{1'000'000}, std::uint64_t{100'000'000}}) {
-    const bool full_only = n == 100'000'000;
-    for (const auto kind :
-         {engine_kind::agent, engine_kind::census, engine_kind::batched,
-          engine_kind::multibatch}) {
-      if (full_only && kind == engine_kind::agent) continue;  // 400 MB array
-      game_rows.push_back({"hawk-dove", "hawk_dove", &hd_proto, kind, n,
-                           full_only});
-      game_rows.push_back({"rps", "rps", &rps_proto, kind, n, full_only});
-    }
-  }
-  auto& games_table = result.table(
-      "interactions/second on dense games (every interaction samples a "
-      "randomized\nkernel outcome)",
-      {"game", "engine", "n", "interactions/s"});
-  for (const auto& row : game_rows) {
-    if (row.full_only && ctx.smoke) continue;
-    const std::size_t q = row.proto->num_states();
-    std::vector<std::uint64_t> counts(q, row.n / q);
-    counts.back() += row.n - (row.n / q) * q;
-    const sim_spec spec(*row.proto, std::move(counts));
-    rng gen = ctx.make_rng(row.n + static_cast<std::uint64_t>(row.kind) * 7 +
-                           static_cast<std::uint64_t>(row.key[0]));
-    const auto engine = spec.make_engine(row.kind, gen);
-    constexpr std::uint64_t chunk = 8192;
-    const double ips = measure_rate(
-        [&] { engine->run(chunk); }, static_cast<double>(chunk), min_seconds);
-    result.metric("ips_" + std::string(row.key) + "_" +
-                      engine_kind_name(row.kind) + "_n" +
-                      std::to_string(row.n),
-                  ips);
-    games_table.add_row({row.game, engine_kind_name(row.kind),
-                         fmt_count(row.n), format_metric(ips, 4)});
-  }
-
-  // Cross-engine ratios land in the trajectory but carry no regression
-  // goal: they depend on the host's cache hierarchy (the agent engine is
-  // n-sensitive, the others are not), so a baseline from one machine would
-  // gate CI runs on another. The seed-deterministic multibatch speedup
-  // gate lives in g4_multibatch_dense.
-  result.metric("speedup_batched_vs_agent_dense_n1e6",
-                ips_dense_batched_1e6 / ips_dense_agent_1e6);
-  result.metric("speedup_batched_vs_agent_dilute_n1e6",
-                ips_dilute_batched_1e6 / ips_dilute_agent_1e6);
-  result.note(
-      "Expected shape: census rates independent of n; batched >> agent, "
-      "most extreme\nin the dilute regime where identity interactions are "
-      "skipped in geometric\nbatches; multibatch >> batched on the dense "
-      "games, where no interaction is\nan identity and only aggregated "
-      "rounds avoid per-interaction sampling.");
-  return result;
-}
 
 scenario_result run_batch(const scenario_context& ctx) {
   scenario_result result;
@@ -291,118 +80,10 @@ scenario_result run_batch(const scenario_context& ctx) {
   return result;
 }
 
-scenario_result run_micro(const scenario_context& ctx) {
-  scenario_result result;
-  const double min_seconds = ctx.pick(0.4, 0.06);
-  result.param("min_seconds_per_row", min_seconds);
-  auto& table = result.table("single-component rates",
-                             {"component", "unit", "rate/s"});
-  const auto add = [&](const std::string& name, const std::string& unit,
-                       double rate) {
-    result.metric("rate_" + name, rate);
-    table.add_row({name, unit, format_metric(rate, 4)});
-  };
-
-  {
-    const auto pop = abg_population::from_fractions(1000, 0.1, 0.2, 0.7);
-    igt_count_chain chain(pop, 8, 0);
-    rng gen = ctx.make_rng(1);
-    constexpr std::uint64_t chunk = 16384;
-    add("igt_count_chain_step", "steps",
-        measure_rate(
-            [&] {
-              for (std::uint64_t i = 0; i < chunk; ++i) chain.step(gen);
-            },
-            static_cast<double>(chunk), min_seconds));
-  }
-  {
-    const ehrenfest_params params{8, 0.3, 0.15, 10'000};
-    auto process = ehrenfest_process::at_corner(params, false);
-    rng gen = ctx.make_rng(2);
-    constexpr std::uint64_t chunk = 16384;
-    add("ehrenfest_count_vector_step", "steps",
-        measure_rate(
-            [&] {
-              for (std::uint64_t i = 0; i < chunk; ++i) process.step(gen);
-            },
-            static_cast<double>(chunk), min_seconds));
-  }
-  {
-    const ehrenfest_params params{3, 0.3, 0.15, 20};
-    const simplex_index index(params.k, params.m);
-    const auto chain = build_ehrenfest_chain(params, index);
-    std::vector<double> mu(index.size(),
-                           1.0 / static_cast<double>(index.size()));
-    add("exact_chain_distribution_step", "state-rows",
-        measure_rate([&] { mu = chain.step(mu); },
-                     static_cast<double>(index.size()), min_seconds));
-  }
-  {
-    const repeated_donation_game rdg{{3.0, 1.0}, 0.8};
-    const auto row = generous_tit_for_tat(0.3, 0.9);
-    const auto col = generous_tit_for_tat(0.6, 0.9);
-    double sink = 0.0;
-    add("exact_payoff_engine", "evals",
-        measure_rate([&] { sink += expected_payoff(rdg, row, col); }, 1.0,
-                     min_seconds));
-    result.param("exact_payoff_sink", sink != 0.0);
-  }
-  {
-    const rd_setting s{3.0, 1.0, 0.8, 0.9};
-    double g = 0.0;
-    double sink = 0.0;
-    constexpr std::uint64_t chunk = 4096;
-    add("closed_form_payoff", "evals",
-        measure_rate(
-            [&] {
-              for (std::uint64_t i = 0; i < chunk; ++i) {
-                g += 1e-9;
-                sink += f_gtft_vs_gtft(s, 0.3 + g, 0.6);
-              }
-            },
-            static_cast<double>(chunk), min_seconds));
-    result.param("closed_form_sink", sink != 0.0);
-  }
-  {
-    const repeated_donation_game rdg{{3.0, 1.0}, 0.9};
-    const auto row = generous_tit_for_tat(0.3, 0.9);
-    const auto col = always_defect();
-    rng gen = ctx.make_rng(3);
-    double sink = 0.0;
-    constexpr std::uint64_t chunk = 1024;
-    add("rollout_game", "games",
-        measure_rate(
-            [&] {
-              for (std::uint64_t i = 0; i < chunk; ++i) {
-                sink += play_repeated_game(rdg, row, col, gen).row_payoff;
-              }
-            },
-            static_cast<double>(chunk), min_seconds));
-    result.param("rollout_sink", sink != 0.0);
-  }
-
-  result.note(
-      "Single-component rates for the trajectory; no regression goals (CI "
-      "machines\nvary run to run).");
-  return result;
-}
-
-[[maybe_unused]] const bool registered_engines = register_scenario(
-    "throughput_engines", "throughput,engines,perf",
-    "Interactions/s of the agent/census/batched/multibatch engines on the "
-    "IGT kernel and dense games",
-    run_engines);
-
 [[maybe_unused]] const bool registered_batch = register_scenario(
     "throughput_batch", "throughput,batch,threads,perf",
     "Batch-replication thread scaling and the bit-identical determinism "
     "check",
     run_batch);
-
-[[maybe_unused]] const bool registered_micro = register_scenario(
-    "throughput_micro", "throughput,micro,perf",
-    "Single-component rates: count chains, exact step, payoff oracles, "
-    "rollouts",
-    run_micro);
 
 }  // namespace

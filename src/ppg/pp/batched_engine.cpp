@@ -23,8 +23,8 @@ batched_engine::batched_engine(const protocol& proto,
   for (std::size_t s = 0; s < counts_.size(); ++s) {
     PPG_CHECK(s < kernel_->num_states() || counts_[s] == 0,
               "batched engine: agents in states outside the protocol's space");
-    n_ += counts_[s];
   }
+  n_ = census_total(counts_, "batched engine");
   PPG_CHECK(n_ >= 2, "a protocol needs at least two agents");
   // c_u * c_v must not overflow: n^2 < 2^63 keeps every weight and the
   // non-identity mass (at most n(n-1) total) in range.
@@ -79,14 +79,13 @@ void batched_engine::restore_state(const json& snapshot) {
       json_require_uint_array(snapshot, "counts", "batched snapshot");
   PPG_CHECK(counts.size() == counts_.size(),
             "batched snapshot: state-space width mismatch");
-  std::uint64_t total = 0;
   for (std::size_t s = 0; s < counts.size(); ++s) {
     PPG_CHECK(s < kernel_->num_states() || counts[s] == 0,
               "batched snapshot: agents in states outside the protocol's "
               "space");
-    total += counts[s];
   }
-  PPG_CHECK(total == n_, "batched snapshot: population size mismatch");
+  PPG_CHECK(census_total(counts, "batched snapshot") == n_,
+            "batched snapshot: population size mismatch");
   counts_ = counts;
   rebuild_row_sums();
   PPG_CHECK(json_require_uint(snapshot, "active_weight", "batched snapshot") ==

@@ -1,5 +1,7 @@
 #include "ppg/pp/census.hpp"
 
+#include <string>
+
 #include "ppg/util/error.hpp"
 
 namespace ppg {
@@ -28,6 +30,16 @@ std::vector<double> census_view::fractions() const {
 
 double census_view::fraction(agent_state state) const {
   return static_cast<double>(count(state)) / static_cast<double>(n_);
+}
+
+std::uint64_t census_total(const std::vector<std::uint64_t>& counts,
+                           const char* where) {
+  std::uint64_t total = 0;
+  for (const auto c : counts) {
+    PPG_CHECK(!__builtin_add_overflow(total, c, &total),
+              std::string(where) + ": census total exceeds 2^64 - 1");
+  }
+  return total;
 }
 
 }  // namespace ppg

@@ -53,6 +53,13 @@ class census_view {
 /// lawfully depend on, on every engine.)
 using census_predicate = std::function<bool(const census_view&)>;
 
+/// Population size of a census: the sum of its counts. Counts arrive from
+/// outside input (recipes, snapshots), so a sum that does not fit in 64 bits
+/// throws ppg::invariant_error (prefixed with `where`) instead of wrapping to
+/// a small n.
+[[nodiscard]] std::uint64_t census_total(
+    const std::vector<std::uint64_t>& counts, const char* where);
+
 /// One census snapshot taken during a run.
 struct census_snapshot {
   std::uint64_t interactions = 0;

@@ -25,8 +25,8 @@ census_engine::census_engine(const protocol& proto,
   for (std::size_t s = 0; s < counts_.size(); ++s) {
     PPG_CHECK(s < kernel_->num_states() || counts_[s] == 0,
               "census engine: agents in states outside the protocol's space");
-    n_ += counts_[s];
   }
+  n_ = census_total(counts_, "census engine");
   PPG_CHECK(n_ >= 2, "a protocol needs at least two agents");
 }
 
@@ -83,14 +83,13 @@ void census_engine::restore_state(const json& snapshot) {
       json_require_uint_array(snapshot, "counts", "census snapshot");
   PPG_CHECK(counts.size() == counts_.size(),
             "census snapshot: state-space width mismatch");
-  std::uint64_t total = 0;
   for (std::size_t s = 0; s < counts.size(); ++s) {
     PPG_CHECK(s < kernel_->num_states() || counts[s] == 0,
               "census snapshot: agents in states outside the protocol's "
               "space");
-    total += counts[s];
   }
-  PPG_CHECK(total == n_, "census snapshot: population size mismatch");
+  PPG_CHECK(census_total(counts, "census snapshot") == n_,
+            "census snapshot: population size mismatch");
   counts_ = counts;
   interactions_ = core.interactions;
   gen_ = core.gen;

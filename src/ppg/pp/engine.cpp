@@ -182,10 +182,8 @@ namespace {
 /// are anonymous, so any ordering induces the same interaction law.
 std::vector<agent_state> states_from_counts(
     const std::vector<std::uint64_t>& counts) {
-  std::uint64_t n = 0;
-  for (const auto c : counts) n += c;
   std::vector<agent_state> states;
-  states.reserve(static_cast<std::size_t>(n));
+  states.reserve(static_cast<std::size_t>(census_total(counts, "census")));
   for (std::size_t s = 0; s < counts.size(); ++s) {
     for (std::uint64_t i = 0; i < counts[s]; ++i) {
       states.push_back(static_cast<agent_state>(s));
@@ -216,7 +214,7 @@ sim_spec::sim_spec(const protocol& proto,
       sampling_(sampling) {
   PPG_CHECK(initial_counts_.size() >= proto_->num_states(),
             "census state space smaller than the protocol's");
-  for (const auto c : initial_counts_) n_ += c;
+  n_ = census_total(initial_counts_, "census spec");
   PPG_CHECK(n_ >= 2, "a protocol needs at least two agents");
 }
 

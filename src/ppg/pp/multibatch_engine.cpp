@@ -32,11 +32,7 @@ multibatch_engine::multibatch_engine(const protocol& proto,
     : kernel_(kernel ? std::move(kernel)
                      : std::make_shared<const kernel_table>(proto)),
       counts_(std::move(initial_counts)),
-      n_([&] {
-        std::uint64_t n = 0;
-        for (const auto c : counts_) n += c;
-        return n;
-      }()),
+      n_(census_total(counts_, "multibatch engine")),
       gen_(gen),
       birthday_(n_) {
   PPG_CHECK(sampling == pair_sampling::distinct,
@@ -88,7 +84,7 @@ void multibatch_engine::check_round_invariants() const {
              "multibatch invariant: touched agents outside a round");
   PPG_DCHECK(!collision_pending_ || pending_free_ > 0 || untouched_total_ < n_,
              "multibatch invariant: pending collision with no touched agent");
-  PPG_DCHECK(2 * pending_free_ <= untouched_total_,
+  PPG_DCHECK(pending_free_ <= untouched_total_ / 2,
              "multibatch invariant: residual free run exceeds the untouched "
              "pool");
 #endif
@@ -134,18 +130,20 @@ void multibatch_engine::restore_state(const json& snapshot) {
       json_require_uint(snapshot, "pending_free", where);
   const bool collision_pending =
       json_require_bool(snapshot, "collision_pending", where);
-  std::uint64_t total = 0;
+  PPG_CHECK(census_total(counts, where) == n_,
+            "multibatch snapshot: population size mismatch");
+  // Each pool count is at most its census count (checked before the
+  // subtraction, so neither side wraps), hence the pool sum cannot wrap.
   std::uint64_t untouched_sum = 0;
   for (std::size_t s = 0; s < width; ++s) {
     PPG_CHECK(s < kernel_->num_states() || counts[s] == 0,
               "multibatch snapshot: agents in states outside the protocol's "
               "space");
-    PPG_CHECK(untouched[s] + touched[s] == counts[s],
+    PPG_CHECK(untouched[s] <= counts[s] &&
+                  touched[s] == counts[s] - untouched[s],
               "multibatch snapshot: pools do not partition the census");
-    total += counts[s];
     untouched_sum += untouched[s];
   }
-  PPG_CHECK(total == n_, "multibatch snapshot: population size mismatch");
   PPG_CHECK(untouched_sum == untouched_total,
             "multibatch snapshot: untouched_total disagrees with the pool");
   PPG_CHECK(collision_pending || pending_free == 0,
@@ -156,7 +154,7 @@ void multibatch_engine::restore_state(const json& snapshot) {
   // to apply, none will appear before it.
   PPG_CHECK(!collision_pending || pending_free > 0 || untouched_total < n_,
             "multibatch snapshot: pending collision with no touched agent");
-  PPG_CHECK(2 * pending_free <= untouched_total,
+  PPG_CHECK(pending_free <= untouched_total / 2,
             "multibatch snapshot: residual free run exceeds the untouched "
             "pool");
   counts_ = std::move(counts);

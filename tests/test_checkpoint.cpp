@@ -14,6 +14,7 @@
 #include "ppg/exp/resume.hpp"
 #include "ppg/pp/checkpoint.hpp"
 #include "ppg/pp/engine.hpp"
+#include "ppg/pp/kernel.hpp"
 #include "ppg/pp/multibatch_engine.hpp"
 #include "ppg/pp/protocol_registry.hpp"
 #include "ppg/util/error.hpp"
@@ -141,6 +142,12 @@ TEST(SimRecipe, StrictParseRejectsMalformedDocuments) {
   EXPECT_THROW(sim_recipe::from_json(parse_recipe_doc(
                    R"({"protocol": {"name": "rumor", "params": {"k": 3}},
                        "initial_counts": [9, 1], "sampling": "distinct"})")),
+               invariant_error);
+  // A census whose sum wraps 2^64: (2^64 - 5) + 15 would read as n = 10.
+  EXPECT_THROW(sim_recipe::from_json(parse_recipe_doc(
+                   R"({"protocol": {"name": "rumor", "params": {}},
+                       "initial_counts": [18446744073709551611, 15],
+                       "sampling": "distinct"})")),
                invariant_error);
 }
 
@@ -444,6 +451,57 @@ TEST(Checkpoint, RestoreRejectsTamperedSnapshots) {
     json bad = mb->save_state();
     bad["collision_pending"] = true;
     EXPECT_THROW(mb->restore_state(bad), invariant_error);
+  }
+  // A census whose sum wraps 2^64 to the spec's n = 300. Every other field
+  // is made consistent with it, so only the overflow check can reject it.
+  const std::vector<std::uint64_t> wrapped = {~std::uint64_t{0} - 4, 305};
+  {
+    auto e = fresh_engine(engine_kind::census);
+    json bad = e->save_state();
+    bad["counts"] = json_uint_array(wrapped);
+    EXPECT_THROW(e->restore_state(bad), invariant_error);
+  }
+  {
+    // The stored non-identity mass, sum over non-identity state pairs of
+    // c_u * (c_v - [u == v]), recomputed in the same wrapping arithmetic.
+    const kernel_table kernel(recipe.proto());
+    std::uint64_t mass = 0;
+    for (agent_state u = 0; u < kernel.num_states(); ++u) {
+      for (agent_state v = 0; v < kernel.num_states(); ++v) {
+        if (!kernel.identity(u, v)) {
+          mass += wrapped[u] * (wrapped[v] - (u == v ? 1 : 0));
+        }
+      }
+    }
+    auto e = fresh_engine(engine_kind::batched);
+    json bad = e->save_state();
+    bad["counts"] = json_uint_array(wrapped);
+    bad["active_weight"] = mass;
+    EXPECT_THROW(e->restore_state(bad), invariant_error);
+  }
+  {
+    auto e = fresh_engine(engine_kind::multibatch);
+    json bad = e->save_state();
+    bad["counts"] = json_uint_array(wrapped);
+    bad["untouched"] = json_uint_array(wrapped);
+    EXPECT_THROW(e->restore_state(bad), invariant_error);
+  }
+  {  // Multibatch residual free run of 2^63 pairs: 2 * 2^63 wraps to 0.
+    auto e = fresh_engine(engine_kind::multibatch);
+    json bad = e->save_state();
+    bad["collision_pending"] = true;
+    bad["pending_free"] = std::uint64_t{1} << 63;
+    EXPECT_THROW(e->restore_state(bad), invariant_error);
+  }
+  {  // Multibatch pools whose per-state sum wraps: 285 + (2^64 - 5) = 280.
+    auto e = fresh_engine(engine_kind::multibatch);
+    json bad = e->save_state();
+    bad["untouched"] = json_uint_array({285, 20});
+    bad["touched"] = json_uint_array({~std::uint64_t{0} - 4, 0});
+    bad["untouched_total"] = std::uint64_t{305};
+    bad["collision_pending"] = true;
+    bad["pending_free"] = std::uint64_t{1};
+    EXPECT_THROW(e->restore_state(bad), invariant_error);
   }
   {  // Unsupported outer schema version.
     json file = save_checkpoint(recipe, *engine);

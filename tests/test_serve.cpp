@@ -215,6 +215,16 @@ TEST(ServeApp, ErrorPaths) {
       make_request("POST", "/sessions",
                    create_body(rumor_recipe(), "warp-drive", 1)),
       400);
+  // A census whose sum wraps 2^64: (2^64 - 5) + 15 would read as n = 10.
+  (void)handle_json(
+      app,
+      make_request(
+          "POST", "/sessions",
+          R"({"recipe": {"protocol": {"name": "rumor", "params": {}},
+              "initial_counts": [18446744073709551611, 15],
+              "sampling": "distinct"},
+              "engine": "multibatch"})"),
+      400);
 
   // Advance validation.
   const std::string id =
