@@ -6,9 +6,10 @@
 //
 // The regression gate is the *event* speedup: sampling events per engine
 // (batched: advance_batch rounds; multibatch: aggregated rounds +
-// collision resolutions) are seed-deterministic counts, so the ratio is
-// reproducible across hardware — unlike wall-clock rates, which are
-// reported for the trajectory but never gated. The acceptance bar is a
+// collision resolutions, both read from the engine snapshots) are
+// seed-deterministic counts, so the ratio is reproducible across hardware
+// — unlike wall-clock rates, which are reported for the trajectory but
+// never gated. The acceptance bar is a
 // >= 5x event win on a dense game at n = 10^8; the measured ratio is in
 // the thousands, recorded both raw (gated, goal max) and as the
 // deterministic pass flag multibatch_5x_win.
@@ -20,9 +21,7 @@
 #include "ppg/exp/scenario.hpp"
 #include "ppg/games/game_protocol.hpp"
 #include "ppg/games/update_rule.hpp"
-#include "ppg/pp/batched_engine.hpp"
 #include "ppg/pp/engine.hpp"
-#include "ppg/pp/multibatch_engine.hpp"
 #include "ppg/util/table.hpp"
 #include "ppg/util/timer.hpp"
 
@@ -67,7 +66,7 @@ scenario_result run_g4(const scenario_context& ctx) {
     batched->run(interactions);
     const double batched_seconds = batched_clock.seconds();
     const auto batched_events =
-        dynamic_cast<const batched_engine&>(*batched).batches();
+        json_require_uint(batched->save_state(), "batches", "g4 snapshot");
 
     rng gen_multibatch = ctx.make_rng(salt++);
     const auto multibatch =
@@ -75,8 +74,10 @@ scenario_result run_g4(const scenario_context& ctx) {
     const timer multibatch_clock;
     multibatch->run(interactions);
     const double multibatch_seconds = multibatch_clock.seconds();
-    const auto& mb = dynamic_cast<const multibatch_engine&>(*multibatch);
-    const auto multibatch_events = mb.rounds() + mb.collisions();
+    const json mb = multibatch->save_state();
+    const auto multibatch_events =
+        json_require_uint(mb, "rounds", "g4 snapshot") +
+        json_require_uint(mb, "collisions", "g4 snapshot");
 
     const double event_speedup = static_cast<double>(batched_events) /
                                  static_cast<double>(multibatch_events);

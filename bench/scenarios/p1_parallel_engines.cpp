@@ -1,12 +1,12 @@
 // The multibatch work-profile scenario: one dense hawk-dove trajectory on a
-// solo multibatch engine, gated on its seed-deterministic work counters —
-// rounds started, collisions resolved, and the aggregation factor
-// interactions / (rounds + collisions), ~sqrt(n) on any kernel. The
-// counters are identical on every machine at a fixed (smoke, seed) and at
-// any --threads setting (a trajectory always runs on one thread), so an
-// exact-value drift surfaces in the refresh diff and a real regression
-// (lost aggregation) fails the gate. The scenario keeps its historical
-// name so the committed baseline keeps tracking these metrics.
+// solo multibatch engine, gated on its seed-deterministic work counters as
+// its snapshot records them — rounds started, collisions resolved, and the
+// aggregation factor interactions / (rounds + collisions), ~sqrt(n) on any
+// kernel. The counters are identical on every machine at a fixed (smoke,
+// seed) and at any --threads setting (a trajectory always runs on one
+// thread), so an exact-value drift surfaces in the refresh diff and a real
+// regression (lost aggregation) fails the gate. The scenario keeps its
+// historical name so the committed baseline keeps tracking these metrics.
 //
 // The interactions/s rate is recorded for the trajectory but carries no
 // regression goal: CI hardware varies, so only seed-deterministic
@@ -43,13 +43,17 @@ scenario_result run_multibatch_profile(const scenario_context& ctx) {
   const timer clock;
   engine.run(steps);
   result.metric("ips_multibatch", static_cast<double>(steps) / clock.seconds());
-  result.metric("mb_rounds", static_cast<double>(engine.rounds()),
+  const json snapshot = engine.save_state();
+  const auto rounds = json_require_uint(snapshot, "rounds", "p1 snapshot");
+  const auto collisions =
+      json_require_uint(snapshot, "collisions", "p1 snapshot");
+  result.metric("mb_rounds", static_cast<double>(rounds),
                 metric_goal::maximize);
-  result.metric("mb_collisions", static_cast<double>(engine.collisions()),
+  result.metric("mb_collisions", static_cast<double>(collisions),
                 metric_goal::maximize);
   result.metric("mb_aggregation_factor",
                 static_cast<double>(steps) /
-                    static_cast<double>(engine.rounds() + engine.collisions()),
+                    static_cast<double>(rounds + collisions),
                 metric_goal::maximize);
   result.note(
       "Expected shape: rounds ~ collisions (every round but a truncated "

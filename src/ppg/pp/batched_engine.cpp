@@ -8,24 +8,13 @@ batched_engine::batched_engine(const protocol& proto,
                                std::vector<std::uint64_t> initial_counts,
                                rng gen, pair_sampling sampling,
                                std::shared_ptr<const kernel_table> kernel)
-    : kernel_(kernel ? std::move(kernel)
-                     : std::make_shared<const kernel_table>(proto)),
+    : kernel_(adopt_kernel(proto, std::move(kernel))),
       counts_(std::move(initial_counts)),
-      n_(0),
+      n_(checked_census(counts_, kernel_->num_states(), "batched engine")),
       gen_(gen) {
   PPG_CHECK(sampling == pair_sampling::distinct,
             "batched engine supports pair_sampling::distinct only; use the "
             "census engine for with_replacement sampling");
-  PPG_CHECK(kernel_->num_states() == proto.num_states(),
-            "batched engine: precompiled kernel does not match the protocol");
-  PPG_CHECK(counts_.size() >= kernel_->num_states(),
-            "census state space smaller than the protocol's");
-  for (std::size_t s = 0; s < counts_.size(); ++s) {
-    PPG_CHECK(s < kernel_->num_states() || counts_[s] == 0,
-              "batched engine: agents in states outside the protocol's space");
-  }
-  n_ = census_total(counts_, "batched engine");
-  PPG_CHECK(n_ >= 2, "a protocol needs at least two agents");
   // c_u * c_v must not overflow: n^2 < 2^63 keeps every weight and the
   // non-identity mass (at most n(n-1) total) in range.
   PPG_CHECK(n_ <= 3'000'000'000ull, "batched engine caps n at 3e9");
@@ -79,13 +68,9 @@ void batched_engine::restore_state(const json& snapshot) {
       json_require_uint_array(snapshot, "counts", "batched snapshot");
   PPG_CHECK(counts.size() == counts_.size(),
             "batched snapshot: state-space width mismatch");
-  for (std::size_t s = 0; s < counts.size(); ++s) {
-    PPG_CHECK(s < kernel_->num_states() || counts[s] == 0,
-              "batched snapshot: agents in states outside the protocol's "
-              "space");
-  }
-  PPG_CHECK(census_total(counts, "batched snapshot") == n_,
-            "batched snapshot: population size mismatch");
+  PPG_CHECK(
+      checked_census(counts, kernel_->num_states(), "batched snapshot") == n_,
+      "batched snapshot: population size mismatch");
   counts_ = counts;
   rebuild_row_sums();
   PPG_CHECK(json_require_uint(snapshot, "active_weight", "batched snapshot") ==

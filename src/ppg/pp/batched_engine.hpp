@@ -33,11 +33,6 @@ class batched_engine final : public sim_engine {
   /// Same contract as census_engine, but restricted to
   /// pair_sampling::distinct (the standard PP scheduler). Population sizes
   /// up to ~3e9 are supported: pair weights c_u * c_v must fit in 64 bits.
-  /// When `kernel` is non-null the engine uses that precompiled table
-  /// instead of compiling its own — the ppg-serve warm-cache path; it must
-  /// have been compiled from a protocol with the same canonical form (the
-  /// constructor checks the state-space size, the caller owns semantic
-  /// equality). Null compiles from `proto` as before.
   batched_engine(const protocol& proto,
                  std::vector<std::uint64_t> initial_counts, rng gen,
                  pair_sampling sampling = pair_sampling::distinct,
@@ -56,16 +51,15 @@ class batched_engine final : public sim_engine {
     return engine_kind::batched;
   }
 
-  /// Number of batches advanced so far: one geometric draw (plus at most
-  /// one non-identity interaction) each. The engine's seed-deterministic
-  /// work metric — on dense kernels it approaches interactions().
-  [[nodiscard]] std::uint64_t batches() const { return batches_; }
-
   /// Snapshot payload: counts, the batch counter, and the incrementally
-  /// maintained non-identity mass. restore_state re-derives the mass from
-  /// the restored counts and cross-checks it against the stored value, so a
-  /// checkpoint whose census and mass disagree is rejected instead of
-  /// silently corrupting the geometric batch law.
+  /// maintained non-identity mass. "batches" counts one geometric draw
+  /// (plus at most one non-identity interaction) each: the engine's
+  /// seed-deterministic work metric, read from the snapshot like every
+  /// engine counter — on dense kernels it approaches interactions().
+  /// restore_state re-derives the mass from the restored counts and
+  /// cross-checks it against the stored value, so a checkpoint whose census
+  /// and mass disagree is rejected instead of silently corrupting the
+  /// geometric batch law.
   [[nodiscard]] json save_state() const override;
   void restore_state(const json& snapshot) override;
 

@@ -32,13 +32,21 @@ double census_view::fraction(agent_state state) const {
   return static_cast<double>(count(state)) / static_cast<double>(n_);
 }
 
-std::uint64_t census_total(const std::vector<std::uint64_t>& counts,
-                           const char* where) {
+std::uint64_t checked_census(const std::vector<std::uint64_t>& counts,
+                             std::size_t num_states, const char* where) {
+  PPG_CHECK(counts.size() >= num_states,
+            std::string(where) +
+                ": census state space smaller than the protocol's");
   std::uint64_t total = 0;
-  for (const auto c : counts) {
-    PPG_CHECK(!__builtin_add_overflow(total, c, &total),
+  for (std::size_t s = 0; s < counts.size(); ++s) {
+    PPG_CHECK(s < num_states || counts[s] == 0,
+              std::string(where) +
+                  ": agents in states outside the protocol's space");
+    PPG_CHECK(!__builtin_add_overflow(total, counts[s], &total),
               std::string(where) + ": census total exceeds 2^64 - 1");
   }
+  PPG_CHECK(total >= 2,
+            std::string(where) + ": a protocol needs at least two agents");
   return total;
 }
 

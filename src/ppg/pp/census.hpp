@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "ppg/pp/population.hpp"
+#include "ppg/util/error.hpp"
 
 namespace ppg {
 
@@ -53,12 +54,34 @@ class census_view {
 /// lawfully depend on, on every engine.)
 using census_predicate = std::function<bool(const census_view&)>;
 
-/// Population size of a census: the sum of its counts. Counts arrive from
-/// outside input (recipes, snapshots), so a sum that does not fit in 64 bits
-/// throws ppg::invariant_error (prefixed with `where`) instead of wrapping to
-/// a small n.
-[[nodiscard]] std::uint64_t census_total(
-    const std::vector<std::uint64_t>& counts, const char* where);
+/// The one census intake: every engine constructor and restore_state, and
+/// both sim_spec constructors, decide census validity here. Checks that
+/// `counts` is a census of a protocol with `num_states` states — width at
+/// least num_states, no agent in a state >= num_states, a total that fits in
+/// 64 bits (counts arrive from recipes and snapshots, so a wrapping sum must
+/// not pass as a small n), and at least two agents — and returns the
+/// population size n. Throws ppg::invariant_error prefixed with `where`.
+[[nodiscard]] std::uint64_t checked_census(
+    const std::vector<std::uint64_t>& counts, std::size_t num_states,
+    const char* where);
+
+/// Sentinel for locate_state's `excluded`: remove no agent.
+inline constexpr agent_state no_excluded_state = static_cast<agent_state>(-1);
+
+/// The state holding the `target`-th agent (0-indexed) of `counts` when its
+/// agents are ordered by state; `excluded` removes one agent of that state
+/// first. The per-pair sampling walk of the census-level engines, inline so
+/// each hot loop compiles it in place.
+[[nodiscard]] inline agent_state locate_state(
+    const std::vector<std::uint64_t>& counts, std::uint64_t target,
+    agent_state excluded) {
+  for (std::size_t s = 0; s < counts.size(); ++s) {
+    const std::uint64_t c = counts[s] - (s == excluded ? 1u : 0u);
+    if (target < c) return static_cast<agent_state>(s);
+    target -= c;
+  }
+  PPG_CHECK(false, "census sampling target out of range");
+}
 
 /// One census snapshot taken during a run.
 struct census_snapshot {

@@ -4,42 +4,15 @@
 
 namespace ppg {
 
-namespace {
-constexpr agent_state no_excluded_state = static_cast<agent_state>(-1);
-}  // namespace
-
 census_engine::census_engine(const protocol& proto,
                              std::vector<std::uint64_t> initial_counts,
                              rng gen, pair_sampling sampling,
                              std::shared_ptr<const kernel_table> kernel)
-    : kernel_(kernel ? std::move(kernel)
-                       : std::make_shared<const kernel_table>(proto)),
+    : kernel_(adopt_kernel(proto, std::move(kernel))),
       counts_(std::move(initial_counts)),
-      n_(0),
+      n_(checked_census(counts_, kernel_->num_states(), "census engine")),
       gen_(gen),
-      sampling_(sampling) {
-  PPG_CHECK(kernel_->num_states() == proto.num_states(),
-            "census engine: precompiled kernel does not match the protocol");
-  PPG_CHECK(counts_.size() >= kernel_->num_states(),
-            "census state space smaller than the protocol's");
-  for (std::size_t s = 0; s < counts_.size(); ++s) {
-    PPG_CHECK(s < kernel_->num_states() || counts_[s] == 0,
-              "census engine: agents in states outside the protocol's space");
-  }
-  n_ = census_total(counts_, "census engine");
-  PPG_CHECK(n_ >= 2, "a protocol needs at least two agents");
-}
-
-agent_state census_engine::locate(std::uint64_t target,
-                                  agent_state excluded) const {
-  const std::size_t q = kernel_->num_states();
-  for (std::size_t s = 0; s < q; ++s) {
-    const std::uint64_t c = counts_[s] - (s == excluded ? 1u : 0u);
-    if (target < c) return static_cast<agent_state>(s);
-    target -= c;
-  }
-  PPG_CHECK(false, "census sampling target out of range");
-}
+      sampling_(sampling) {}
 
 void census_engine::step() {
   if (sampling_ == pair_sampling::with_replacement &&
@@ -47,7 +20,8 @@ void census_engine::step() {
     // A self-interaction (probability 1/n): the ordered pair lands on one
     // agent twice; only the initiator update applies, mirroring the agent
     // engine's self-pair handling.
-    const agent_state u = locate(gen_.next_below(n_), no_excluded_state);
+    const agent_state u =
+        locate_state(counts_, gen_.next_below(n_), no_excluded_state);
     const auto [next_initiator, next_responder] = kernel_->sample(u, u, gen_);
     (void)next_responder;
     --counts_[u];
@@ -58,8 +32,9 @@ void census_engine::step() {
   // Ordered pair of distinct agents: initiator state u with probability
   // c_u / n, then responder state v with probability (c_v - [v==u]) / (n-1)
   // — the census marginal of a uniform ordered agent pair.
-  const agent_state u = locate(gen_.next_below(n_), no_excluded_state);
-  const agent_state v = locate(gen_.next_below(n_ - 1), u);
+  const agent_state u =
+      locate_state(counts_, gen_.next_below(n_), no_excluded_state);
+  const agent_state v = locate_state(counts_, gen_.next_below(n_ - 1), u);
   const auto [next_initiator, next_responder] = kernel_->sample(u, v, gen_);
   --counts_[u];
   --counts_[v];
@@ -83,12 +58,8 @@ void census_engine::restore_state(const json& snapshot) {
       json_require_uint_array(snapshot, "counts", "census snapshot");
   PPG_CHECK(counts.size() == counts_.size(),
             "census snapshot: state-space width mismatch");
-  for (std::size_t s = 0; s < counts.size(); ++s) {
-    PPG_CHECK(s < kernel_->num_states() || counts[s] == 0,
-              "census snapshot: agents in states outside the protocol's "
-              "space");
-  }
-  PPG_CHECK(census_total(counts, "census snapshot") == n_,
+  PPG_CHECK(checked_census(counts, kernel_->num_states(), "census snapshot") ==
+                n_,
             "census snapshot: population size mismatch");
   counts_ = counts;
   interactions_ = core.interactions;

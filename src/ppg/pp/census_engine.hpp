@@ -19,18 +19,14 @@ namespace ppg {
 class census_engine final : public sim_engine {
  public:
   /// `initial_counts[s]` is the number of agents starting in state s; its
-  /// length is the census width (may exceed the protocol's state count, but
-  /// states outside the protocol's space must be empty). The protocol must
-  /// expose a kernel and must outlive the engine.
-  /// When `kernel` is non-null the engine uses that precompiled table
-  /// instead of compiling its own — the ppg-serve warm-cache path; it must
-  /// have been compiled from a protocol with the same canonical form (the
-  /// constructor checks the state-space size, the caller owns semantic
-  /// equality). Null compiles from `proto` as before.
+  /// length is the census width, which may exceed the protocol's state
+  /// count (pp/census.hpp's checked_census states what a valid census is).
+  /// The protocol must expose a kernel and must outlive the engine; a
+  /// non-null `kernel` is adopted as sim_spec::make_engine describes.
   census_engine(const protocol& proto,
                 std::vector<std::uint64_t> initial_counts, rng gen,
                 pair_sampling sampling = pair_sampling::distinct,
-                              std::shared_ptr<const kernel_table> kernel = nullptr);
+                std::shared_ptr<const kernel_table> kernel = nullptr);
 
   void step() override;
   void run(std::uint64_t steps) override;
@@ -49,12 +45,6 @@ class census_engine final : public sim_engine {
   void restore_state(const json& snapshot) override;
 
  private:
-  /// The state holding the `target`-th agent (0-indexed) when agents are
-  /// ordered by state; `excluded` removes one agent of that state first
-  /// (agent_state(-1) removes none).
-  [[nodiscard]] agent_state locate(std::uint64_t target,
-                                   agent_state excluded) const;
-
   std::shared_ptr<const kernel_table> kernel_;
   std::vector<std::uint64_t> counts_;
   std::uint64_t n_;

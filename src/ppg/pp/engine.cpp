@@ -106,12 +106,11 @@ double sim_engine::parallel_time() const {
 simulation::simulation(const protocol& proto, population agents, rng gen,
                        pair_sampling sampling)
     : proto_(&proto),
+      num_states_(proto.num_states()),
       agents_(std::move(agents)),
       gen_(gen),
       sampling_(sampling) {
-  PPG_CHECK(agents_.num_state_kinds() >= proto_->num_states(),
-            "population state space smaller than the protocol's");
-  PPG_CHECK(agents_.size() >= 2, "a protocol needs at least two agents");
+  (void)checked_census(agents_.counts(), num_states_, "agent engine");
 }
 
 void simulation::step() {
@@ -122,12 +121,13 @@ void simulation::step() {
   const auto [next_initiator, next_responder] =
       proto_->interact(agents_.state_of(pair.initiator),
                        agents_.state_of(pair.responder), gen_);
-  // Catch rogue protocols loudly in every build type; the applications below
-  // then take the debug-checked fast path (the pair indices come from the
-  // scheduler, which guarantees they are in range).
-  PPG_CHECK(next_initiator < agents_.num_state_kinds() &&
-                next_responder < agents_.num_state_kinds(),
-            "protocol emitted a state outside the population's space");
+  // Catch rogue protocols loudly in every build type, including a state
+  // inside a wider population but past the protocol's own, which restore
+  // would refuse; the applications below then take the debug-checked fast
+  // path (the pair indices come from the scheduler, which guarantees they
+  // are in range).
+  PPG_CHECK(next_initiator < num_states_ && next_responder < num_states_,
+            "protocol emitted a state >= its num_states()");
   agents_.apply_interaction(pair.initiator, next_initiator);
   // Self-interactions can occur under with_replacement sampling; applying
   // the responder update second would clobber the initiator's, so skip it.
@@ -159,7 +159,8 @@ void simulation::restore_state(const json& snapshot) {
       snapshot, {"state_version", "engine", "interactions", "rng", "states"},
       "agent snapshot");
   const auto core = check_snapshot_envelope(snapshot);
-  const auto raw = json_require_uint_array(snapshot, "states", "agent snapshot");
+  const auto raw =
+      json_require_uint_array(snapshot, "states", "agent snapshot");
   PPG_CHECK(raw.size() == agents_.size(),
             "agent snapshot: population size mismatch");
   std::vector<agent_state> states;
@@ -170,20 +171,24 @@ void simulation::restore_state(const json& snapshot) {
     states.push_back(static_cast<agent_state>(state));
   }
   // The population constructor re-derives the census from the states, so a
-  // restored engine can never disagree with its own counts.
-  agents_ = population(std::move(states), agents_.num_state_kinds());
+  // restored engine can never disagree with its own counts; the census is
+  // then checked against the protocol like every engine's.
+  population restored(std::move(states), agents_.num_state_kinds());
+  (void)checked_census(restored.counts(), num_states_, "agent snapshot");
+  agents_ = std::move(restored);
   interactions_ = core.interactions;
   gen_ = core.gen;
 }
 
 namespace {
 
-/// Expands a census into a per-agent state vector, grouped by state. Agents
-/// are anonymous, so any ordering induces the same interaction law.
+/// Expands a census of `n` agents into a per-agent state vector, grouped by
+/// state. Agents are anonymous, so any ordering induces the same interaction
+/// law.
 std::vector<agent_state> states_from_counts(
-    const std::vector<std::uint64_t>& counts) {
+    const std::vector<std::uint64_t>& counts, std::uint64_t n) {
   std::vector<agent_state> states;
-  states.reserve(static_cast<std::size_t>(census_total(counts, "census")));
+  states.reserve(static_cast<std::size_t>(n));
   for (std::size_t s = 0; s < counts.size(); ++s) {
     for (std::uint64_t i = 0; i < counts[s]; ++i) {
       states.push_back(static_cast<agent_state>(s));
@@ -201,9 +206,8 @@ sim_spec::sim_spec(const protocol& proto, population initial,
       initial_counts_(initial_->counts()),
       n_(initial_->size()),
       sampling_(sampling) {
-  PPG_CHECK(initial_->num_state_kinds() >= proto_->num_states(),
-            "population state space smaller than the protocol's");
-  PPG_CHECK(n_ >= 2, "a protocol needs at least two agents");
+  (void)checked_census(initial_counts_, proto_->num_states(),
+                       "population spec");
 }
 
 sim_spec::sim_spec(const protocol& proto,
@@ -211,12 +215,8 @@ sim_spec::sim_spec(const protocol& proto,
                    pair_sampling sampling)
     : proto_(&proto),
       initial_counts_(std::move(initial_counts)),
-      sampling_(sampling) {
-  PPG_CHECK(initial_counts_.size() >= proto_->num_states(),
-            "census state space smaller than the protocol's");
-  n_ = census_total(initial_counts_, "census spec");
-  PPG_CHECK(n_ >= 2, "a protocol needs at least two agents");
-}
+      n_(checked_census(initial_counts_, proto_->num_states(), "census spec")),
+      sampling_(sampling) {}
 
 const population& sim_spec::initial() const {
   PPG_CHECK(initial_.has_value(),
@@ -230,7 +230,8 @@ simulation sim_spec::instantiate(rng& gen) const {
   }
   return simulation(
       *proto_,
-      population(states_from_counts(initial_counts_), initial_counts_.size()),
+      population(states_from_counts(initial_counts_, n_),
+                 initial_counts_.size()),
       gen.split(), sampling_);
 }
 

@@ -160,6 +160,7 @@ class simulation final : public sim_engine {
 
  private:
   const protocol* proto_;
+  std::size_t num_states_;  ///< proto_->num_states(), off the hot path
   population agents_;
   rng gen_;
   pair_sampling sampling_;
@@ -177,7 +178,9 @@ class simulation final : public sim_engine {
 /// census (counts per state). The census form never allocates per-agent
 /// state, so census/batched engines scale to populations far beyond what an
 /// agent array can hold; the agent engine materializes agents from the
-/// census (grouped by state) on demand.
+/// census (grouped by state) on demand. Both forms pass the initial census
+/// through checked_census (pp/census.hpp), the intake every engine shares,
+/// so a spec no engine could run is refused at construction.
 class sim_spec {
  public:
   sim_spec(const protocol& proto, population initial,
@@ -203,9 +206,10 @@ class sim_spec {
   /// A non-null `kernel` hands the census-level engines a precompiled
   /// kernel table instead of compiling one from the protocol — the
   /// ppg-serve warm-cache path; it never changes any draw (the table is
-  /// immutable shared data) and must match the protocol's canonical form.
-  /// The agent engine interprets the protocol directly and rejects a
-  /// precompiled kernel.
+  /// immutable shared data) and must have been compiled from a protocol
+  /// with the same canonical form (adopt_kernel checks the state-space
+  /// size, the caller owns semantic equality). The agent engine interprets
+  /// the protocol directly and rejects a precompiled kernel.
   [[nodiscard]] std::unique_ptr<sim_engine> make_engine(
       engine_kind kind, rng& gen,
       std::shared_ptr<const kernel_table> kernel = nullptr) const;

@@ -100,4 +100,12 @@ std::pair<agent_state, agent_state> kernel_table::sample(
   return {entries_[end - 1].initiator, entries_[end - 1].responder};
 }
 
+std::shared_ptr<const kernel_table> adopt_kernel(
+    const protocol& proto, std::shared_ptr<const kernel_table> kernel) {
+  if (!kernel) return std::make_shared<const kernel_table>(proto);
+  PPG_CHECK(kernel->num_states() == proto.num_states(),
+            "precompiled kernel does not match the protocol");
+  return kernel;
+}
+
 }  // namespace ppg

@@ -7,6 +7,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -134,5 +135,12 @@ class kernel_table {
   std::vector<std::uint8_t> identity_;
   bool fully_deterministic_ = true;
 };
+
+/// The kernel a census-level engine runs on: `kernel` when non-null (see
+/// sim_spec::make_engine), else a table compiled from `proto`. A supplied
+/// kernel whose state count differs from the protocol's throws
+/// ppg::invariant_error.
+[[nodiscard]] std::shared_ptr<const kernel_table> adopt_kernel(
+    const protocol& proto, std::shared_ptr<const kernel_table> kernel);
 
 }  // namespace ppg

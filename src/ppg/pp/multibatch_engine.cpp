@@ -1,6 +1,7 @@
 #include "ppg/pp/multibatch_engine.hpp"
 
 #include <algorithm>
+#include <string>
 #include <utility>
 
 #include "ppg/util/error.hpp"
@@ -8,19 +9,43 @@
 namespace ppg {
 namespace {
 
-constexpr agent_state no_excluded_state = static_cast<agent_state>(-1);
-
-/// The state holding the `target`-th agent (0-indexed) of the pool when its
-/// agents are ordered by state; `excluded` removes one agent of that state
-/// first (no_excluded_state removes none).
-agent_state locate(const std::vector<std::uint64_t>& pool,
-                   std::uint64_t target, agent_state excluded) {
-  for (std::size_t s = 0; s < pool.size(); ++s) {
-    const std::uint64_t c = pool[s] - (s == excluded ? 1u : 0u);
-    if (target < c) return static_cast<agent_state>(s);
-    target -= c;
+/// The round-state relations a multibatch engine holds between run() calls,
+/// over a census and pools of one width: the pools partition the census,
+/// untouched_total is the untouched pool's sum, and the residual carry is
+/// consistent with the round flag. Returns the first relation violated, or
+/// nullptr. Each pool count is checked against its census count before the
+/// subtraction, so no side wraps, and hence the pool sum cannot wrap.
+const char* round_state_violation(const std::vector<std::uint64_t>& counts,
+                                  const std::vector<std::uint64_t>& untouched,
+                                  const std::vector<std::uint64_t>& touched,
+                                  std::uint64_t untouched_total,
+                                  std::uint64_t n, std::uint64_t pending_free,
+                                  bool collision_pending) {
+  std::uint64_t untouched_sum = 0;
+  for (std::size_t s = 0; s < counts.size(); ++s) {
+    if (untouched[s] > counts[s] || touched[s] != counts[s] - untouched[s]) {
+      return "pools do not partition the census";
+    }
+    untouched_sum += untouched[s];
   }
-  PPG_CHECK(false, "multibatch sampling target out of range");
+  if (untouched_sum != untouched_total) {
+    return "untouched_total disagrees with the pool";
+  }
+  if (!collision_pending && pending_free != 0) {
+    return "residual carry outside a round";
+  }
+  if (!collision_pending && untouched_total != n) {
+    return "touched agents outside a round";
+  }
+  // The closing collision needs a touched agent; with no free pairs left
+  // to apply, none will appear before it.
+  if (collision_pending && pending_free == 0 && untouched_total >= n) {
+    return "pending collision with no touched agent";
+  }
+  if (pending_free > untouched_total / 2) {
+    return "residual free run exceeds the untouched pool";
+  }
+  return nullptr;
 }
 
 }  // namespace
@@ -29,26 +54,14 @@ multibatch_engine::multibatch_engine(const protocol& proto,
                                      std::vector<std::uint64_t> initial_counts,
                                      rng gen, pair_sampling sampling,
                                      std::shared_ptr<const kernel_table> kernel)
-    : kernel_(kernel ? std::move(kernel)
-                     : std::make_shared<const kernel_table>(proto)),
+    : kernel_(adopt_kernel(proto, std::move(kernel))),
       counts_(std::move(initial_counts)),
-      n_(census_total(counts_, "multibatch engine")),
+      n_(checked_census(counts_, kernel_->num_states(), "multibatch engine")),
       gen_(gen),
       birthday_(n_) {
   PPG_CHECK(sampling == pair_sampling::distinct,
             "multibatch engine supports pair_sampling::distinct only; use "
             "the census engine for with_replacement sampling");
-  PPG_CHECK(kernel_->num_states() == proto.num_states(),
-            "multibatch engine: precompiled kernel does not match the "
-            "protocol");
-  PPG_CHECK(counts_.size() >= kernel_->num_states(),
-            "census state space smaller than the protocol's");
-  for (std::size_t s = 0; s < counts_.size(); ++s) {
-    PPG_CHECK(s < kernel_->num_states() || counts_[s] == 0,
-              "multibatch engine: agents in states outside the protocol's "
-              "space");
-  }
-  PPG_CHECK(n_ >= 2, "a protocol needs at least two agents");
   // Collision-category weights (t*u etc.) must not overflow: n^2 < 2^63.
   PPG_CHECK(n_ <= 3'000'000'000ull, "multibatch engine caps n at 3e9");
   const auto q = static_cast<std::uint64_t>(kernel_->num_states());
@@ -63,31 +76,6 @@ multibatch_engine::multibatch_engine(const protocol& proto,
   initiators_.resize(counts_.size());
   responders_.resize(counts_.size());
   row_.resize(counts_.size());
-}
-
-void multibatch_engine::check_round_invariants() const {
-#ifdef NDEBUG
-  // The PPG_DCHECKs below compile out in Release; skip the O(q) sweep too.
-  return;
-#else
-  std::uint64_t untouched_sum = 0;
-  for (std::size_t s = 0; s < counts_.size(); ++s) {
-    PPG_DCHECK(untouched_[s] + touched_[s] == counts_[s],
-               "multibatch invariant: pools must partition the census");
-    untouched_sum += untouched_[s];
-  }
-  PPG_DCHECK(untouched_sum == untouched_total_,
-             "multibatch invariant: stale untouched_total");
-  PPG_DCHECK(collision_pending_ || pending_free_ == 0,
-             "multibatch invariant: residual carry outside a round");
-  PPG_DCHECK(collision_pending_ || untouched_total_ == n_,
-             "multibatch invariant: touched agents outside a round");
-  PPG_DCHECK(!collision_pending_ || pending_free_ > 0 || untouched_total_ < n_,
-             "multibatch invariant: pending collision with no touched agent");
-  PPG_DCHECK(pending_free_ <= untouched_total_ / 2,
-             "multibatch invariant: residual free run exceeds the untouched "
-             "pool");
-#endif
 }
 
 json multibatch_engine::save_state() const {
@@ -130,33 +118,13 @@ void multibatch_engine::restore_state(const json& snapshot) {
       json_require_uint(snapshot, "pending_free", where);
   const bool collision_pending =
       json_require_bool(snapshot, "collision_pending", where);
-  PPG_CHECK(census_total(counts, where) == n_,
+  PPG_CHECK(checked_census(counts, kernel_->num_states(), where) == n_,
             "multibatch snapshot: population size mismatch");
-  // Each pool count is at most its census count (checked before the
-  // subtraction, so neither side wraps), hence the pool sum cannot wrap.
-  std::uint64_t untouched_sum = 0;
-  for (std::size_t s = 0; s < width; ++s) {
-    PPG_CHECK(s < kernel_->num_states() || counts[s] == 0,
-              "multibatch snapshot: agents in states outside the protocol's "
-              "space");
-    PPG_CHECK(untouched[s] <= counts[s] &&
-                  touched[s] == counts[s] - untouched[s],
-              "multibatch snapshot: pools do not partition the census");
-    untouched_sum += untouched[s];
-  }
-  PPG_CHECK(untouched_sum == untouched_total,
-            "multibatch snapshot: untouched_total disagrees with the pool");
-  PPG_CHECK(collision_pending || pending_free == 0,
-            "multibatch snapshot: residual carry outside a round");
-  PPG_CHECK(collision_pending || untouched_total == n_,
-            "multibatch snapshot: touched agents outside a round");
-  // The closing collision needs a touched agent; with no free pairs left
-  // to apply, none will appear before it.
-  PPG_CHECK(!collision_pending || pending_free > 0 || untouched_total < n_,
-            "multibatch snapshot: pending collision with no touched agent");
-  PPG_CHECK(pending_free <= untouched_total / 2,
-            "multibatch snapshot: residual free run exceeds the untouched "
-            "pool");
+  const char* violation =
+      round_state_violation(counts, untouched, touched, untouched_total, n_,
+                            pending_free, collision_pending);
+  PPG_CHECK(violation == nullptr,
+            std::string("multibatch snapshot: ") + violation);
   counts_ = std::move(counts);
   untouched_ = std::move(untouched);
   touched_ = std::move(touched);
@@ -232,10 +200,10 @@ void multibatch_engine::apply_free_aggregate(std::uint64_t free) {
 
 void multibatch_engine::apply_free_sequential(std::uint64_t free) {
   for (std::uint64_t i = 0; i < free; ++i) {
-    const agent_state u = locate(untouched_, gen_.next_below(untouched_total_),
-                                 no_excluded_state);
-    const agent_state v = locate(untouched_,
-                                 gen_.next_below(untouched_total_ - 1), u);
+    const agent_state u = locate_state(
+        untouched_, gen_.next_below(untouched_total_), no_excluded_state);
+    const agent_state v =
+        locate_state(untouched_, gen_.next_below(untouched_total_ - 1), u);
     const auto [next_initiator, next_responder] = kernel_->sample(u, v, gen_);
     --untouched_[u];
     --untouched_[v];
@@ -263,17 +231,22 @@ void multibatch_engine::resolve_collision() {
   bool initiator_touched;
   bool responder_touched;
   if (x < tt) {
-    initiator = locate(touched_, gen_.next_below(t_total), no_excluded_state);
-    responder = locate(touched_, gen_.next_below(t_total - 1), initiator);
+    initiator =
+        locate_state(touched_, gen_.next_below(t_total), no_excluded_state);
+    responder = locate_state(touched_, gen_.next_below(t_total - 1), initiator);
     initiator_touched = responder_touched = true;
   } else if (x < tt + tu) {
-    initiator = locate(touched_, gen_.next_below(t_total), no_excluded_state);
-    responder = locate(untouched_, gen_.next_below(u_total), no_excluded_state);
+    initiator =
+        locate_state(touched_, gen_.next_below(t_total), no_excluded_state);
+    responder =
+        locate_state(untouched_, gen_.next_below(u_total), no_excluded_state);
     initiator_touched = true;
     responder_touched = false;
   } else {
-    initiator = locate(untouched_, gen_.next_below(u_total), no_excluded_state);
-    responder = locate(touched_, gen_.next_below(t_total), no_excluded_state);
+    initiator =
+        locate_state(untouched_, gen_.next_below(u_total), no_excluded_state);
+    responder =
+        locate_state(touched_, gen_.next_below(t_total), no_excluded_state);
     initiator_touched = false;
     responder_touched = true;
   }
@@ -294,7 +267,15 @@ void multibatch_engine::resolve_collision() {
 void multibatch_engine::step() { run(1); }
 
 void multibatch_engine::run(std::uint64_t steps) {
-  check_round_invariants();
+#ifndef NDEBUG
+  // Debug/ASan builds re-check the round state at every run() entry;
+  // restore_state enforces the same relations in every build.
+  const char* violation =
+      round_state_violation(counts_, untouched_, touched_, untouched_total_,
+                            n_, pending_free_, collision_pending_);
+  PPG_CHECK(violation == nullptr,
+            std::string("multibatch invariant: ") + violation);
+#endif
   std::uint64_t remaining = steps;
   while (remaining > 0) {
     if (!collision_pending_) {

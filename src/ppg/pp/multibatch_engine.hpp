@@ -56,11 +56,6 @@ class multibatch_engine final : public sim_engine {
   /// Same contract as the batched engine: a kernel-bearing protocol,
   /// pair_sampling::distinct only, and n capped at ~3e9 so pair weights
   /// c_u * c_v fit in 64 bits.
-  /// When `kernel` is non-null the engine uses that precompiled table
-  /// instead of compiling its own — the ppg-serve warm-cache path; it must
-  /// have been compiled from a protocol with the same canonical form (the
-  /// constructor checks the state-space size, the caller owns semantic
-  /// equality). Null compiles from `proto` as before.
   multibatch_engine(const protocol& proto,
                     std::vector<std::uint64_t> initial_counts, rng gen,
                     pair_sampling sampling = pair_sampling::distinct,
@@ -83,43 +78,26 @@ class multibatch_engine final : public sim_engine {
     return engine_kind::multibatch;
   }
 
-  /// Aggregated rounds started and collisions resolved so far: the engine's
-  /// seed-deterministic work metric. interactions() / (rounds() +
-  /// collisions()) is the aggregation factor — ~sqrt(n) on any kernel.
-  [[nodiscard]] std::uint64_t rounds() const { return rounds_; }
-  [[nodiscard]] std::uint64_t collisions() const { return collisions_; }
-
-  /// The residual-round carry: collision-free interactions of the current
-  /// round drawn but not yet applied because a run() budget truncated the
-  /// round (the birthday law is not memoryless, so the remainder carries
-  /// across run() calls instead of being redrawn). Zero iff the engine sits
-  /// at a round boundary. Exposed so truncation state is inspectable — and
-  /// checkpointable — rather than opaque.
-  [[nodiscard]] std::uint64_t residual_free() const { return pending_free_; }
-
-  /// Whether the engine is inside a round: a collision-free run has been
-  /// drawn (possibly fully applied) and the closing collision has not yet
-  /// been resolved. True whenever residual_free() > 0, and also after the
-  /// free run is exhausted but before the collision interaction executes.
-  [[nodiscard]] bool mid_round() const { return collision_pending_; }
-
   /// Snapshot payload: counts, both touched/untouched pools, the
-  /// round/collision counters, and the residual-round carry
-  /// (pending_free / collision_pending) — a checkpoint taken inside a
-  /// budget-truncated round resumes the same round, same law, same draws.
-  /// restore_state validates the exact key set, the state_version, the
-  /// width/population/state-space agreement and the round-state
-  /// invariants, and leaves the engine untouched on failure.
+  /// round/collision counters, and the residual-round carry. "rounds" and
+  /// "collisions" count aggregated rounds started and collisions resolved:
+  /// the engine's seed-deterministic work metric, read from the snapshot
+  /// like every engine counter; interactions / (rounds + collisions) is the
+  /// aggregation factor, ~sqrt(n) on any kernel. "pending_free" holds the
+  /// collision-free interactions of the current round drawn but not yet
+  /// applied because a run() budget truncated the round (the birthday law
+  /// is not memoryless, so the remainder carries across run() calls instead
+  /// of being redrawn); "collision_pending" is true while the engine is
+  /// inside a round — whenever pending_free > 0, and also after the free
+  /// run is exhausted but before the collision executes. A checkpoint taken
+  /// inside a budget-truncated round resumes the same round, same law, same
+  /// draws. restore_state validates the exact key set, the state_version,
+  /// the census (checked_census, width and population) and the round-state
+  /// relations, and leaves the engine untouched on failure.
   [[nodiscard]] json save_state() const override;
   void restore_state(const json& snapshot) override;
 
  private:
-  /// Debug-asserted structural invariants of the round state (pool sums,
-  /// carry consistency); active at every run() entry in Debug/ASan builds,
-  /// compiled out in Release. restore_state enforces the same relations
-  /// unconditionally via PPG_CHECK.
-  void check_round_invariants() const;
-
   void apply_free_sequential(std::uint64_t free);
   /// One joint draw of a `free`-pair run: initiator and responder multisets,
   /// the matching rows, and each pair type's outcome split.

@@ -15,7 +15,6 @@
 #include "ppg/pp/checkpoint.hpp"
 #include "ppg/pp/engine.hpp"
 #include "ppg/pp/kernel.hpp"
-#include "ppg/pp/multibatch_engine.hpp"
 #include "ppg/pp/protocol_registry.hpp"
 #include "ppg/util/error.hpp"
 #include "ppg/util/json.hpp"
@@ -283,24 +282,24 @@ TEST(Checkpoint, MultibatchResumesMidResidualRound) {
 
     // Advance both twins in lockstep until the cut engine is mid-round with
     // free pairs still pending.
-    const auto* mb = dynamic_cast<const multibatch_engine*>(cut.get());
-    ASSERT_NE(mb, nullptr);
+    const char* where = "multibatch snapshot";
+    json cut_state;
     bool found = false;
     for (int i = 0; i < 200 && !found; ++i) {
       full->run(c.chunk);
       cut->run(c.chunk);
-      found = mb->residual_free() > 0;
+      cut_state = cut->save_state();
+      found = json_require_uint(cut_state, "pending_free", where) > 0;
     }
     ASSERT_TRUE(found) << "never saw a truncated round with pending pairs";
-    ASSERT_TRUE(mb->mid_round());
+    ASSERT_TRUE(json_require_bool(cut_state, "collision_pending", where));
 
     const std::string file = save_checkpoint(recipe, *cut).dump_string();
     restored_sim resumed = restore_checkpoint(json::parse(file));
-    const auto* rmb =
-        dynamic_cast<const multibatch_engine*>(resumed.engine.get());
-    ASSERT_NE(rmb, nullptr);
-    EXPECT_EQ(rmb->residual_free(), mb->residual_free());
-    EXPECT_TRUE(rmb->mid_round());
+    const json resumed_state = resumed.engine->save_state();
+    EXPECT_EQ(json_require_uint(resumed_state, "pending_free", where),
+              json_require_uint(cut_state, "pending_free", where));
+    EXPECT_TRUE(json_require_bool(resumed_state, "collision_pending", where));
 
     // Identical run() schedules from here on: the continued trajectory must
     // match the uninterrupted twin draw for draw.
@@ -405,6 +404,22 @@ TEST(Checkpoint, SnapshotIsAFixedPointOfRestore) {
   }
 }
 
+/// The stored non-identity mass of a batched snapshot of census `c`: the
+/// sum over non-identity state pairs of c_u * (c_v - [u == v]), in the
+/// engine's wrapping arithmetic.
+std::uint64_t non_identity_mass(const kernel_table& kernel,
+                                const std::vector<std::uint64_t>& c) {
+  std::uint64_t mass = 0;
+  for (agent_state u = 0; u < kernel.num_states(); ++u) {
+    for (agent_state v = 0; v < kernel.num_states(); ++v) {
+      if (!kernel.identity(u, v)) {
+        mass += c[u] * (c[v] - (u == v ? 1 : 0));
+      }
+    }
+  }
+  return mass;
+}
+
 TEST(Checkpoint, RestoreRejectsTamperedSnapshots) {
   const sim_recipe recipe =
       sim_recipe::from_json(json::parse(rumor_recipe_text()));
@@ -461,22 +476,12 @@ TEST(Checkpoint, RestoreRejectsTamperedSnapshots) {
     bad["counts"] = json_uint_array(wrapped);
     EXPECT_THROW(e->restore_state(bad), invariant_error);
   }
+  const kernel_table kernel(recipe.proto());
   {
-    // The stored non-identity mass, sum over non-identity state pairs of
-    // c_u * (c_v - [u == v]), recomputed in the same wrapping arithmetic.
-    const kernel_table kernel(recipe.proto());
-    std::uint64_t mass = 0;
-    for (agent_state u = 0; u < kernel.num_states(); ++u) {
-      for (agent_state v = 0; v < kernel.num_states(); ++v) {
-        if (!kernel.identity(u, v)) {
-          mass += wrapped[u] * (wrapped[v] - (u == v ? 1 : 0));
-        }
-      }
-    }
     auto e = fresh_engine(engine_kind::batched);
     json bad = e->save_state();
     bad["counts"] = json_uint_array(wrapped);
-    bad["active_weight"] = mass;
+    bad["active_weight"] = non_identity_mass(kernel, wrapped);
     EXPECT_THROW(e->restore_state(bad), invariant_error);
   }
   {
@@ -501,6 +506,50 @@ TEST(Checkpoint, RestoreRejectsTamperedSnapshots) {
     bad["untouched_total"] = std::uint64_t{305};
     bad["collision_pending"] = true;
     bad["pending_free"] = std::uint64_t{1};
+    EXPECT_THROW(e->restore_state(bad), invariant_error);
+  }
+  // The census intake every restore shares, against a recipe one state
+  // wider than the protocol. For each census-level engine: a census of the
+  // wrong width, one with an agent in the empty third state, and one of the
+  // wrong population; every other field is made consistent with the census,
+  // so only the intake can reject it. Then the agent engine's restored
+  // states.
+  const sim_recipe wide = sim_recipe::from_json(json::parse(
+      R"({"protocol": {"name": "rumor", "params": {}},
+          "initial_counts": [280, 20, 0], "sampling": "distinct"})"));
+  const std::vector<std::vector<std::uint64_t>> bad_censuses = {
+      {280, 20}, {280, 19, 1}, {281, 20, 0}};
+  for (const auto kind :
+       {engine_kind::census, engine_kind::batched, engine_kind::multibatch}) {
+    for (const auto& counts : bad_censuses) {
+      SCOPED_TRACE(std::string(engine_kind_name(kind)) + " " +
+                   json_uint_array(counts).dump_string(false));
+      rng scratch(0);
+      auto e = wide.spec().make_engine(kind, scratch);
+      json bad = e->save_state();
+      bad["counts"] = json_uint_array(counts);
+      if (kind == engine_kind::batched) {
+        bad["active_weight"] = non_identity_mass(kernel, counts);
+      }
+      if (kind == engine_kind::multibatch) {
+        std::uint64_t total = 0;
+        for (const auto c : counts) total += c;
+        bad["untouched"] = json_uint_array(counts);
+        bad["touched"] = json_uint_array(
+            std::vector<std::uint64_t>(counts.size(), 0));
+        bad["untouched_total"] = total;
+      }
+      EXPECT_THROW(e->restore_state(bad), invariant_error);
+    }
+  }
+  {  // An agent state inside the population's width, outside the protocol's
+     // space.
+    rng scratch(0);
+    auto e = wide.spec().make_engine(engine_kind::agent, scratch);
+    json bad = e->save_state();
+    auto states = json_require_uint_array(bad, "states", "agent snapshot");
+    states[0] = 2;
+    bad["states"] = json_uint_array(states);
     EXPECT_THROW(e->restore_state(bad), invariant_error);
   }
   {  // Unsupported outer schema version.

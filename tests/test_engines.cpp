@@ -131,6 +131,40 @@ TEST(Engines, BatchedAndMultibatchRequireDistinctSampling) {
   EXPECT_NO_THROW((void)spec.make_engine(engine_kind::census, gen));
 }
 
+// One intake (checked_census) decides census validity for all four engines
+// and both sim_spec forms: a census narrower than the protocol, agents in a
+// state outside the protocol's space, a total that wraps 2^64, and fewer
+// than two agents are each refused at construction.
+TEST(Engines, EveryKindRefusesAnInvalidCensus) {
+  const rumor_protocol proto;  // two states
+  const std::vector<std::vector<std::uint64_t>> bad_censuses = {
+      {300}, {280, 20, 7}, {~std::uint64_t{0} - 4, 15}, {1, 0, 0}};
+  for (const auto& counts : bad_censuses) {
+    SCOPED_TRACE(json_uint_array(counts).dump_string(false));
+    EXPECT_THROW((void)census_engine(proto, counts, rng(6)), invariant_error);
+    EXPECT_THROW((void)batched_engine(proto, counts, rng(6)), invariant_error);
+    EXPECT_THROW((void)multibatch_engine(proto, counts, rng(6)),
+                 invariant_error);
+    EXPECT_THROW((void)sim_spec(proto, counts), invariant_error);
+  }
+  // The per-agent forms; a population cannot hold 2^64 agents.
+  const population bad_populations[] = {population(300, 0, 1),
+                                        population({0, 1, 2}, 3),
+                                        population(1, 0, 2)};
+  for (const auto& agents : bad_populations) {
+    SCOPED_TRACE(json_uint_array(agents.counts()).dump_string(false));
+    EXPECT_THROW((void)simulation(proto, agents, rng(6)), invariant_error);
+    EXPECT_THROW((void)sim_spec(proto, agents), invariant_error);
+  }
+  // A wider census is fine while the extra states stay empty.
+  const sim_spec wide(proto, std::vector<std::uint64_t>{280, 20, 0});
+  rng gen(6);
+  for (const auto kind : {engine_kind::agent, engine_kind::census,
+                          engine_kind::batched, engine_kind::multibatch}) {
+    EXPECT_NO_THROW((void)wide.make_engine(kind, gen));
+  }
+}
+
 TEST(Engines, AgentEngineIsBitwiseTheLegacySimulation) {
   const igt_protocol proto(4);
   const auto pop = abg_population::from_fractions(60, 0.2, 0.3, 0.5);
@@ -370,12 +404,13 @@ TEST(Engines, MultibatchAggregatesDenseKernelsAtScale) {
   std::uint64_t total = 0;
   for (const auto c : engine->census().counts()) total += c;
   EXPECT_EQ(total, 100'000'000u);
-  const auto* multibatch =
-      dynamic_cast<const multibatch_engine*>(engine.get());
-  ASSERT_NE(multibatch, nullptr);
+  const json snapshot = engine->save_state();
   // ~sqrt(n)-interaction rounds: the work metric is thousands of times
   // below the interaction count (the bound is loose on purpose).
-  EXPECT_LT(multibatch->rounds() + multibatch->collisions(), 100'000u);
+  EXPECT_LT(json_require_uint(snapshot, "rounds", "multibatch snapshot") +
+                json_require_uint(snapshot, "collisions",
+                                  "multibatch snapshot"),
+            100'000u);
 }
 
 TEST(Engines, MultibatchRoundsSurviveBudgetTruncation) {

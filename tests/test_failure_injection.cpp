@@ -40,6 +40,9 @@ TEST(FailureInjection, RogueProtocolStateIsCaughtAtApplication) {
   const rogue_protocol proto;
   simulation sim(proto, population({0, 1}, 2), rng(1));
   EXPECT_THROW(sim.step(), invariant_error);
+  // State 7 fits a population eight states wide, but not the protocol's two.
+  simulation wide(proto, population({0, 1}, 8), rng(1));
+  EXPECT_THROW(wide.step(), invariant_error);
 }
 
 // A protocol that under-declares its state space relative to the

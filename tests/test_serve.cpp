@@ -138,7 +138,8 @@ TEST(ServeApp, SessionLifecycle) {
   serve_app app;
   const json created = handle_json(
       app,
-      make_request("POST", "/sessions", create_body(rumor_recipe(), "census", 7)),
+      make_request("POST", "/sessions",
+                   create_body(rumor_recipe(), "census", 7)),
       201);
   const std::string id = created.find("id")->as_string();
   EXPECT_EQ(created.find("state")->as_string(), "created");
@@ -225,6 +226,55 @@ TEST(ServeApp, ErrorPaths) {
               "sampling": "distinct"},
               "engine": "multibatch"})"),
       400);
+
+  // Agents in a state outside the protocol's space: rumor has two states,
+  // so a third census entry must be empty on every engine, the agent engine
+  // included.
+  (void)handle_json(
+      app,
+      make_request(
+          "POST", "/sessions",
+          R"({"recipe": {"protocol": {"name": "rumor", "params": {}},
+              "initial_counts": [280, 20, 7], "sampling": "distinct"},
+              "engine": "agent"})"),
+      400);
+  // POST /sessions/restore refuses the same agents, whether the checkpoint's
+  // recipe holds them or only its engine snapshot does.
+  {
+    const char* wide_rumor = R"({"protocol": {"name": "rumor", "params": {}},
+        "initial_counts": [280, 20, 0], "sampling": "distinct"})";
+    const std::string wide_id =
+        handle_json(app,
+                    make_request("POST", "/sessions",
+                                 create_body(wide_rumor, "agent", 8)),
+                    201)
+            .find("id")
+            ->as_string();
+    const json good = json::parse(
+        app.handle(make_request("GET", "/sessions/" + wide_id + "/checkpoint"))
+            .body);
+    const auto states =
+        json_require_uint_array(*good.find("engine"), "states", "snapshot");
+
+    json in_recipe = good;
+    in_recipe["spec"]["initial_counts"] = json_uint_array({280, 20, 7});
+    auto grown = states;
+    grown.insert(grown.end(), 7, 2);
+    in_recipe["engine"]["states"] = json_uint_array(grown);
+    (void)handle_json(app,
+                      make_request("POST", "/sessions/restore",
+                                   in_recipe.dump_string(false)),
+                      400);
+
+    json in_snapshot = good;
+    auto moved = states;
+    moved[0] = 2;
+    in_snapshot["engine"]["states"] = json_uint_array(moved);
+    (void)handle_json(app,
+                      make_request("POST", "/sessions/restore",
+                                   in_snapshot.dump_string(false)),
+                      400);
+  }
 
   // Advance validation.
   const std::string id =
@@ -344,7 +394,8 @@ TEST(ServeApp, SessionsShareCompiledKernels) {
   EXPECT_FALSE(third.find("kernel_cache_hit")->as_bool());
   const json fourth = handle_json(
       app,
-      make_request("POST", "/sessions", create_body(rumor_recipe(), "agent", 4)),
+      make_request("POST", "/sessions",
+                   create_body(rumor_recipe(), "agent", 4)),
       201);
   EXPECT_FALSE(fourth.find("kernel_cache_hit")->as_bool());
 

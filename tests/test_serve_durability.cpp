@@ -510,11 +510,10 @@ TEST(ServeDurability, OldSamplingLawSpillsAreQuarantinedOnBoot) {
   EXPECT_EQ(store.entries("quarantine").size(), 2u);
 
   // A fresh session is served as usual.
+  const std::string fresh_body =
+      create_body(majority_recipe(), "multibatch", 13);
   const std::string fresh =
-      handle_json(rebooted,
-                  make_request("POST", "/sessions",
-                               create_body(majority_recipe(), "multibatch", 13)),
-                  201)
+      handle_json(rebooted, make_request("POST", "/sessions", fresh_body), 201)
           .find("id")
           ->as_string();
   const json advanced = handle_json(
