@@ -66,7 +66,9 @@ class igt_protocol final : public game_protocol {
 };
 
 /// Action-keyed variant: the pair plays one repeated donation game and the
-/// GTFT initiator increments iff the opponent's last-round action was C.
+/// GTFT initiator increments iff the opponent cooperated in a strict
+/// majority of its rounds (2 * col_cooperations > rounds), else decrements.
+/// Non-GTFT initiators and every responder keep their states.
 class igt_action_protocol final : public protocol {
  public:
   igt_action_protocol(std::size_t k, rd_setting setting, double g_max);

@@ -1,24 +1,12 @@
 #include "ppg/exp/resume.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <string>
-#include <thread>
 #include <utility>
 
 #include "ppg/util/error.hpp"
-#include "ppg/util/rng.hpp"
-#include "ppg/util/thread_pool.hpp"
 
 namespace ppg {
-namespace {
-
-std::size_t resolve_threads(std::size_t threads) {
-  if (threads != 0) return threads;
-  return std::max<std::size_t>(1, std::thread::hardware_concurrency());
-}
-
-}  // namespace
 
 resumable_sweep::resumable_sweep(sim_recipe recipe, engine_kind kind,
                                  std::uint64_t master_seed,
@@ -28,33 +16,22 @@ resumable_sweep::resumable_sweep(sim_recipe recipe, engine_kind kind,
       kind_(kind),
       master_seed_(master_seed),
       horizon_(horizon),
-      threads_(resolve_threads(threads)) {
-  PPG_CHECK(replicas >= 1, "a sweep needs at least one replica");
-  engines_.reserve(replicas);
-  for (std::size_t i = 0; i < replicas; ++i) {
-    rng gen = make_stream_rng(master_seed_, i);
-    engines_.push_back(recipe_.spec().make_engine(kind_, gen));
-  }
+      runner_(batch_options{replicas, master_seed, threads}) {
+  engines_ = runner_.run([&](const replica_context& /*ctx*/, rng& gen) {
+    return recipe_.spec().make_engine(kind_, gen);
+  });
 }
 
 bool resumable_sweep::advance(std::uint64_t chunk) {
   PPG_CHECK(chunk > 0, "sweep chunk must be positive");
-  // Same worker-pool shape as batch_runner: an atomic index dealt to the
-  // pool. Engines are independent, so completion order is irrelevant.
-  thread_pool pool(std::min(threads_, engines_.size()));
-  std::atomic<std::size_t> next{0};
-  for (std::size_t w = 0; w < pool.size(); ++w) {
-    pool.submit([&] {
-      for (std::size_t i = next.fetch_add(1); i < engines_.size();
-           i = next.fetch_add(1)) {
-        auto& engine = *engines_[i];
-        const std::uint64_t done = engine.interactions();
-        if (done >= horizon_) continue;
-        engine.run(std::min(chunk, horizon_ - done));
-      }
-    });
-  }
-  pool.wait_idle();
+  // Engines are independent, so completion order is irrelevant; each engine
+  // carries its own stream, and the replica generator goes unused.
+  (void)runner_.run([&](const replica_context& ctx, rng& /*gen*/) {
+    auto& engine = *engines_[ctx.index];
+    const std::uint64_t done = engine.interactions();
+    if (done < horizon_) engine.run(std::min(chunk, horizon_ - done));
+    return engine.interactions();
+  });
   return !finished();
 }
 

@@ -1,15 +1,15 @@
 // Resumable replica sweeps: the checkpointable form of a long-horizon
 // replicated run. A sweep is R replicas of one sim_recipe on one engine
-// kind, replica i seeded by exactly the batch engine's counter-based stream
-// law (make_stream_rng(master_seed, i), then sim_spec::make_engine's
-// split) — so a sweep that is never checkpointed produces the same
-// per-replica trajectories a replicate_* body building
-// `spec.make_engine(kind, gen)` would. Unlike batch_runner's run-to-
-// completion bodies, the sweep advances its replicas in bounded chunks and
-// can serialize the complete state — every replica's engine snapshot, i.e.
-// every per-stream RNG position — between chunks; save() → restore()
-// through a file continues every replica bit-exactly (same chunk schedule;
-// DESIGN.md §9).
+// kind, built and advanced through batch_runner: replica i is built from
+// batch_runner's stream law (make_stream_rng(master_seed, i), then
+// sim_spec::make_engine's split), so a sweep that is never checkpointed
+// produces the same per-replica trajectories a replicate_* body building
+// `spec.make_engine(kind, gen)` would. Unlike a run-to-completion batch
+// body, the sweep advances its replicas in bounded chunks (one batch_runner
+// pass per chunk) and can serialize the complete state — every replica's
+// engine snapshot, i.e. every per-stream RNG position — between chunks;
+// save() → restore() through a file continues every replica bit-exactly
+// (same chunk schedule; DESIGN.md §9).
 //
 // Deliberately NOT checkpointed: aggregator partials. Reductions stay
 // replayable on the caller's side from the replicas' final censuses —
@@ -21,6 +21,7 @@
 #include <memory>
 #include <vector>
 
+#include "ppg/exp/batch_runner.hpp"
 #include "ppg/pp/checkpoint.hpp"
 #include "ppg/pp/engine.hpp"
 #include "ppg/util/json.hpp"
@@ -73,7 +74,7 @@ class resumable_sweep {
   engine_kind kind_;
   std::uint64_t master_seed_;
   std::uint64_t horizon_;
-  std::size_t threads_;
+  batch_runner runner_;  ///< builds and advances the replicas
   std::vector<std::unique_ptr<sim_engine>> engines_;
 };
 

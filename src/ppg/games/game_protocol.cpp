@@ -70,23 +70,6 @@ std::vector<outcome> game_protocol::outcome_distribution(
   return kernel_[index(initiator, responder)];
 }
 
-std::pair<agent_state, agent_state> game_protocol::interact(
-    agent_state initiator, agent_state responder, rng& gen) const {
-  PPG_CHECK(initiator < game_.num_strategies() &&
-                responder < game_.num_strategies(),
-            "strategy index out of range");
-  const auto& dist = kernel_[index(initiator, responder)];
-  if (dist.size() == 1) {
-    return {dist.front().initiator, dist.front().responder};
-  }
-  double u = gen.next_double();
-  for (const auto& o : dist) {
-    u -= o.probability;
-    if (u < 0.0) return {o.initiator, o.responder};
-  }
-  return {dist.back().initiator, dist.back().responder};
-}
-
 std::string game_protocol::state_name(agent_state state) const {
   return game_.strategy_name(state);
 }

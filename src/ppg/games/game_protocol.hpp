@@ -3,7 +3,7 @@
 // revision distribution for the initiator (one_way) or the independent
 // product of both sides' revisions (two_way). The compiled protocol exposes
 // the full transition kernel (outcome_distribution), so every composed game
-// runs unchanged on the agent, census, and batched engines, and feeds the
+// runs unchanged on every engine, and feeds the
 // mean-field extraction in games/mean_field.hpp. See DESIGN.md §7 for the
 // compilation contract.
 #pragma once
@@ -26,8 +26,8 @@ namespace ppg {
 enum class revision_discipline : std::uint8_t { one_way, two_way };
 
 /// A matrix game plus an update rule, compiled into a protocol. The q x q
-/// kernel is materialized and validated at construction, so per-interaction
-/// sampling never re-queries the rule and never allocates.
+/// kernel is materialized and validated at construction, so compiling it
+/// into a kernel_table never re-queries the rule.
 class game_protocol : public protocol {
  public:
   game_protocol(game_matrix game, std::shared_ptr<const update_rule> rule,
@@ -44,14 +44,6 @@ class game_protocol : public protocol {
 
   [[nodiscard]] std::vector<outcome> outcome_distribution(
       agent_state initiator, agent_state responder) const override;
-
-  /// Samples the precompiled kernel directly (no per-call distribution
-  /// rebuild); draw consumption matches the default kernel-sampling
-  /// interact exactly, so agent-engine trajectories are independent of
-  /// whether a protocol caches its kernel.
-  [[nodiscard]] std::pair<agent_state, agent_state> interact(
-      agent_state initiator, agent_state responder,
-      rng& gen) const override;
 
   /// The strategy's name in the game.
   [[nodiscard]] std::string state_name(agent_state state) const override;

@@ -66,10 +66,9 @@ void census_engine::restore_state(const json& snapshot) {
   gen_ = core.gen;
 }
 
-// Identical loop to the sim_engine default, but compiled against the final
-// class: step() dispatches statically here, which is worth ~15% on the
-// per-interaction hot path (the base-class loop pays a virtual call per
-// step).
+// A plain step() loop compiled against the final class: step() dispatches
+// statically here, which is worth ~15% on the per-interaction hot path over
+// a loop that calls step() through sim_engine (a virtual call per step).
 void census_engine::run(std::uint64_t steps) {
   for (std::uint64_t i = 0; i < steps; ++i) {
     step();

@@ -67,12 +67,6 @@ sim_engine::snapshot_core sim_engine::check_snapshot_envelope(
   return core;
 }
 
-void sim_engine::run(std::uint64_t steps) {
-  for (std::uint64_t i = 0; i < steps; ++i) {
-    step();
-  }
-}
-
 std::uint64_t sim_engine::run_until(const census_predicate& converged,
                                     std::uint64_t max_steps) {
   std::uint64_t executed = 0;
@@ -104,9 +98,13 @@ double sim_engine::parallel_time() const {
 }
 
 simulation::simulation(const protocol& proto, population agents, rng gen,
-                       pair_sampling sampling)
+                       pair_sampling sampling,
+                       std::shared_ptr<const kernel_table> kernel)
     : proto_(&proto),
       num_states_(proto.num_states()),
+      kernel_(kernel || proto.has_kernel()
+                  ? adopt_kernel(proto, std::move(kernel))
+                  : nullptr),
       agents_(std::move(agents)),
       gen_(gen),
       sampling_(sampling) {
@@ -118,21 +116,27 @@ void simulation::step() {
       sampling_ == pair_sampling::distinct
           ? sample_distinct_pair(agents_.size(), gen_)
           : sample_with_replacement_pair(agents_.size(), gen_);
-  const auto [next_initiator, next_responder] =
-      proto_->interact(agents_.state_of(pair.initiator),
-                       agents_.state_of(pair.responder), gen_);
-  // Catch rogue protocols loudly in every build type, including a state
-  // inside a wider population but past the protocol's own, which restore
-  // would refuse; the applications below then take the debug-checked fast
-  // path (the pair indices come from the scheduler, which guarantees they
-  // are in range).
-  PPG_CHECK(next_initiator < num_states_ && next_responder < num_states_,
-            "protocol emitted a state >= its num_states()");
-  agents_.apply_interaction(pair.initiator, next_initiator);
+  const agent_state initiator = agents_.state_of(pair.initiator);
+  const agent_state responder = agents_.state_of(pair.responder);
+  std::pair<agent_state, agent_state> next;
+  if (kernel_) {
+    // The table's outcomes were range-checked when it was compiled.
+    next = kernel_->sample(initiator, responder, gen_);
+  } else {
+    next = proto_->interact(initiator, responder, gen_);
+    // Catch rogue protocols loudly in every build type, including a state
+    // inside a wider population but past the protocol's own, which restore
+    // would refuse.
+    PPG_CHECK(next.first < num_states_ && next.second < num_states_,
+              "protocol emitted a state >= its num_states()");
+  }
+  // The applications take the debug-checked fast path: the pair indices
+  // come from the scheduler, which guarantees they are in range.
+  agents_.apply_interaction(pair.initiator, next.first);
   // Self-interactions can occur under with_replacement sampling; applying
   // the responder update second would clobber the initiator's, so skip it.
   if (pair.responder != pair.initiator) {
-    agents_.apply_interaction(pair.responder, next_responder);
+    agents_.apply_interaction(pair.responder, next.second);
   }
   ++interactions_;
 }
@@ -224,15 +228,15 @@ const population& sim_spec::initial() const {
   return *initial_;
 }
 
-simulation sim_spec::instantiate(rng& gen) const {
-  if (initial_.has_value()) {
-    return simulation(*proto_, *initial_, gen.split(), sampling_);
-  }
-  return simulation(
-      *proto_,
-      population(states_from_counts(initial_counts_, n_),
-                 initial_counts_.size()),
-      gen.split(), sampling_);
+simulation sim_spec::instantiate(
+    rng& gen, std::shared_ptr<const kernel_table> kernel) const {
+  population agents =
+      initial_.has_value()
+          ? *initial_
+          : population(states_from_counts(initial_counts_, n_),
+                       initial_counts_.size());
+  return simulation(*proto_, std::move(agents), gen.split(), sampling_,
+                    std::move(kernel));
 }
 
 std::unique_ptr<sim_engine> sim_spec::make_engine(
@@ -240,10 +244,7 @@ std::unique_ptr<sim_engine> sim_spec::make_engine(
     std::shared_ptr<const kernel_table> kernel) const {
   switch (kind) {
     case engine_kind::agent:
-      PPG_CHECK(kernel == nullptr,
-                "the agent engine interprets the protocol directly and "
-                "takes no precompiled kernel");
-      return std::make_unique<simulation>(instantiate(gen));
+      return std::make_unique<simulation>(instantiate(gen, std::move(kernel)));
     case engine_kind::census:
       return std::make_unique<census_engine>(*proto_, initial_counts_,
                                              gen.split(), sampling_,

@@ -22,7 +22,7 @@ namespace ppg {
 
 /// Which execution backend runs a sim_spec.
 enum class engine_kind : std::uint8_t {
-  agent,    ///< per-agent state array, one protocol::interact per step
+  agent,    ///< per-agent state array, one kernel_table draw per step
   census,   ///< count vector only; samples the ordered *state* pair in O(q)
   batched,  ///< census + geometric batches that skip identity interactions
   /// census + aggregated ~sqrt(n)-interaction rounds (exact birthday /
@@ -58,10 +58,8 @@ class sim_engine {
   /// Executes one interaction.
   virtual void step() = 0;
 
-  /// Executes `steps` interactions. Engines override this when they can
-  /// advance faster than step-at-a-time (the batched engine skips runs of
-  /// identity interactions in one geometric draw).
-  virtual void run(std::uint64_t steps);
+  /// Executes `steps` interactions.
+  virtual void run(std::uint64_t steps) = 0;
 
   /// Runs until `converged(census())` is true or `max_steps` is reached;
   /// returns the number of interactions executed in this call.
@@ -134,14 +132,19 @@ class sim_engine {
   sim_engine& operator=(sim_engine&&) = default;
 };
 
-/// The agent-level engine: a per-agent state array, one protocol::interact
-/// call per scheduled pair. This is the reference implementation every other
-/// engine is law-equivalent to, and the only engine that supports protocols
-/// without a kernel.
+/// The agent-level engine: a per-agent state array, one draw per scheduled
+/// pair from the same compiled kernel_table the census-level engines sample.
+/// This is the reference implementation every other engine is
+/// law-equivalent to, and the only engine that supports protocols without a
+/// kernel: for those each pair goes through protocol::interact instead.
 class simulation final : public sim_engine {
  public:
+  /// A non-null `kernel` is adopted as sim_spec::make_engine describes.
+  /// Without one, a kernel protocol's table is compiled here and a
+  /// kernel-less protocol goes through interact.
   simulation(const protocol& proto, population agents, rng gen,
-             pair_sampling sampling = pair_sampling::distinct);
+             pair_sampling sampling = pair_sampling::distinct,
+             std::shared_ptr<const kernel_table> kernel = nullptr);
 
   void step() override;
   void run(std::uint64_t steps) override;
@@ -161,6 +164,9 @@ class simulation final : public sim_engine {
  private:
   const protocol* proto_;
   std::size_t num_states_;  ///< proto_->num_states(), off the hot path
+  /// The sampled kernel; null only for a kernel-less protocol, which goes
+  /// through proto_->interact.
+  std::shared_ptr<const kernel_table> kernel_;
   population agents_;
   rng gen_;
   pair_sampling sampling_;
@@ -193,23 +199,23 @@ class sim_spec {
   /// is seeded from gen.split(), so it owns an independent stream: the
   /// caller's generator never shares draws with the simulation
   /// (instantiating twice from one generator yields two *different*
-  /// trajectories).
-  [[nodiscard]] simulation instantiate(rng& gen) const;
+  /// trajectories). `kernel` is make_engine's.
+  [[nodiscard]] simulation instantiate(
+      rng& gen, std::shared_ptr<const kernel_table> kernel = nullptr) const;
 
   /// A fresh engine of the requested kind at the initial condition, seeded
   /// from gen.split() exactly like instantiate — make_engine(agent, gen) and
   /// instantiate(gen) from equal generator states produce bitwise-identical
-  /// trajectories. The census and batched engines require the protocol to
-  /// expose a kernel; the batched engine additionally requires
-  /// pair_sampling::distinct.
+  /// trajectories. The census, batched and multibatch engines require the
+  /// protocol to expose a kernel; the batched and multibatch engines
+  /// additionally require pair_sampling::distinct.
   ///
-  /// A non-null `kernel` hands the census-level engines a precompiled
+  /// A non-null `kernel` hands the engine, of any kind, a precompiled
   /// kernel table instead of compiling one from the protocol — the
   /// ppg-serve warm-cache path; it never changes any draw (the table is
   /// immutable shared data) and must have been compiled from a protocol
   /// with the same canonical form (adopt_kernel checks the state-space
-  /// size, the caller owns semantic equality). The agent engine interprets
-  /// the protocol directly and rejects a precompiled kernel.
+  /// size, the caller owns semantic equality).
   [[nodiscard]] std::unique_ptr<sim_engine> make_engine(
       engine_kind kind, rng& gen,
       std::shared_ptr<const kernel_table> kernel = nullptr) const;

@@ -15,20 +15,11 @@ std::vector<outcome> protocol::outcome_distribution(
 }
 
 std::pair<agent_state, agent_state> protocol::interact(
-    agent_state initiator, agent_state responder, rng& gen) const {
-  const auto dist = outcome_distribution(initiator, responder);
-  PPG_CHECK(!dist.empty(), "empty outcome distribution");
-  if (dist.size() == 1) {
-    return {dist.front().initiator, dist.front().responder};
-  }
-  double u = gen.next_double();
-  for (const auto& o : dist) {
-    u -= o.probability;
-    if (u < 0.0) return {o.initiator, o.responder};
-  }
-  // Guard against floating-point shortfall: the kernel contract guarantees
-  // the probabilities sum to 1 up to rounding.
-  return {dist.back().initiator, dist.back().responder};
+    agent_state /*initiator*/, agent_state /*responder*/,
+    rng& /*gen*/) const {
+  PPG_CHECK(false,
+            "protocol has no interact override: a kernel protocol is "
+            "sampled through its kernel_table");
 }
 
 std::string protocol::state_name(agent_state state) const {
@@ -37,7 +28,7 @@ std::string protocol::state_name(agent_state state) const {
 
 kernel_table::kernel_table(const protocol& proto) : q_(proto.num_states()) {
   PPG_CHECK(proto.has_kernel(),
-            "protocol exposes no transition kernel; census/batched engines "
+            "protocol exposes no transition kernel; census-level engines "
             "require outcome_distribution (agent engine works without one)");
   PPG_CHECK(q_ >= 1, "protocol must have at least one state");
   offsets_.reserve(q_ * q_ + 1);

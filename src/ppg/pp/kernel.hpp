@@ -1,9 +1,9 @@
 // The protocol abstraction and its transition kernel. A population protocol
 // is described once by its state-pair kernel (outcome_distribution); the
-// kernel_table below is the flattened, validated form the census and batched
-// engines sample from, so per-interaction work is independent of the
-// population size. Execution backends live in pp/engine.hpp. See DESIGN.md
-// §2 for the kernel contract.
+// kernel_table below is the flattened, validated form every engine samples
+// from, so per-interaction work is independent of the population size.
+// Execution backends live in pp/engine.hpp. See DESIGN.md §2 for the kernel
+// contract.
 #pragma once
 
 #include <cstdint>
@@ -28,17 +28,15 @@ struct outcome {
 /// A population protocol: a (possibly randomized) transition function over
 /// ordered pairs of states.
 ///
-/// Protocols have two equivalent descriptions and may implement either:
+/// Protocols have two descriptions and implement exactly one:
 ///  - the *kernel view*: outcome_distribution(q_i, q_r) enumerates the finite
-///    distribution over post-interaction pairs (override it and has_kernel);
-///    interact() then defaults to sampling that distribution, so kernel
-///    protocols only write one function;
+///    distribution over post-interaction pairs (override it and has_kernel).
+///    Every engine compiles it into a kernel_table once and samples only
+///    that table, so a kernel protocol writes no sampler of its own;
 ///  - the *sampling view*: interact(q_i, q_r, gen) draws the post-interaction
 ///    pair directly. Protocols whose randomness is impractical to enumerate
 ///    (e.g. igt_action_protocol's repeated-game rollouts) implement only this
 ///    and are restricted to the agent engine.
-/// Deterministic protocols get a fast path for free: a single-support-point
-/// distribution is applied without consuming random draws.
 class protocol {
  public:
   virtual ~protocol() = default;
@@ -50,7 +48,7 @@ class protocol {
   [[nodiscard]] virtual std::size_t num_states() const = 0;
 
   /// Whether outcome_distribution is implemented. Engines that execute at
-  /// the census level (census, batched) require a kernel.
+  /// the census level (census, batched, multibatch) require a kernel.
   [[nodiscard]] virtual bool has_kernel() const { return false; }
 
   /// The finite distribution over post-interaction (q_i', q_r') pairs for an
@@ -60,9 +58,9 @@ class protocol {
   [[nodiscard]] virtual std::vector<outcome> outcome_distribution(
       agent_state initiator, agent_state responder) const;
 
-  /// New (initiator, responder) states after an interaction. The default
-  /// implementation samples outcome_distribution (consuming one uniform draw
-  /// only when the distribution has more than one support point).
+  /// New (initiator, responder) states after an interaction, for a
+  /// protocol without a kernel. The default implementation throws; kernel
+  /// protocols are sampled through kernel_table instead.
   [[nodiscard]] virtual std::pair<agent_state, agent_state> interact(
       agent_state initiator, agent_state responder, rng& gen) const;
 
@@ -71,10 +69,10 @@ class protocol {
 };
 
 /// Flattened, validated kernel of a protocol over its q = num_states()
-/// ordered state pairs. Construction checks, for every pair, that outcome
-/// states are in range and probabilities are positive and sum to 1 (up to
-/// 1e-9); deterministic pairs (a single support point) are sampled without
-/// consuming random draws.
+/// ordered state pairs — the only sampler of a kernel in the library.
+/// Construction checks, for every pair, that outcome states are in range and
+/// probabilities are positive and sum to 1 (up to 1e-9); deterministic pairs
+/// (a single support point) are sampled without consuming random draws.
 class kernel_table {
  public:
   explicit kernel_table(const protocol& proto);
@@ -136,7 +134,7 @@ class kernel_table {
   bool fully_deterministic_ = true;
 };
 
-/// The kernel a census-level engine runs on: `kernel` when non-null (see
+/// The kernel an engine runs on: `kernel` when non-null (see
 /// sim_spec::make_engine), else a table compiled from `proto`. A supplied
 /// kernel whose state count differs from the protocol's throws
 /// ppg::invariant_error.

@@ -41,7 +41,7 @@ std::shared_ptr<serve_session> session_table::create(const json& recipe_doc,
 
   std::shared_ptr<const kernel_table> kernel;
   bool warm = false;
-  if (kind != engine_kind::agent && recipe.proto().has_kernel()) {
+  if (recipe.proto().has_kernel()) {
     auto found = kernels_->get_or_compile(protocol_key(recipe.to_json()),
                                           recipe.proto());
     kernel = std::move(found.kernel);
@@ -78,28 +78,22 @@ std::shared_ptr<serve_session> session_table::build_restored(
   // Resolve the shared kernel *before* restore_checkpoint so a restored
   // session joins the same warm-cache economy as a created one.
   const json& spec = json_require(checkpoint, "spec", "checkpoint");
-  const json& snapshot = json_require(checkpoint, "engine", "checkpoint");
-  const engine_kind kind = engine_kind_from_name(
-      json_require_string(snapshot, "engine", "engine snapshot"));
-
   std::shared_ptr<const kernel_table> kernel;
   bool warm = false;
-  if (kind != engine_kind::agent) {
-    // A probe recipe only to reach the protocol object for compilation; the
-    // session's own recipe is rebuilt by restore_checkpoint below.
-    const sim_recipe probe = sim_recipe::from_json(spec);
-    if (probe.proto().has_kernel()) {
-      auto found =
-          kernels_->get_or_compile(protocol_key(spec), probe.proto());
-      kernel = std::move(found.kernel);
-      warm = found.hit;
-    }
+  // A probe recipe only to reach the protocol object for compilation; the
+  // session's own recipe is rebuilt by restore_checkpoint below.
+  const sim_recipe probe = sim_recipe::from_json(spec);
+  if (probe.proto().has_kernel()) {
+    auto found = kernels_->get_or_compile(protocol_key(spec), probe.proto());
+    kernel = std::move(found.kernel);
+    warm = found.hit;
   }
 
   restored_sim restored = restore_checkpoint(checkpoint, std::move(kernel));
   const std::uint64_t fingerprint = recipe_fingerprint(restored.recipe);
   auto session = std::make_shared<serve_session>(
-      "", std::move(restored.recipe), kind, /*rng_seed=*/0);
+      "", std::move(restored.recipe), restored.engine->kind(),
+      /*rng_seed=*/0);
   session->fingerprint = fingerprint;
   session->kernel_cache_hit = warm;
   session->restored = true;

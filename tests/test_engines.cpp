@@ -1,12 +1,12 @@
 // Engine equivalence suite: the agent, census, batched, and multibatch
 // engines execute the same interaction law for a given (protocol, initial
-// census, sampling) triple. Pinned here via (a) exact kernel-vs-interact
-// agreement, (b) bitwise agent-engine/legacy-simulation agreement under
-// shared seeds, (c) two-sample chi-square cross-checks of replica
-// statistics at a fixed parallel time for IGT, approximate majority,
-// rumor, and leader election, and (d) agreement of census-engine
-// stationary statistics with igt_count_chain (equation (5)) and the
-// Theorem 2.7 closed form.
+// census, sampling) triple. Pinned here via (a) exact agreement of the
+// compiled kernel_table with outcome_distribution, (b) bitwise
+// agent-engine/legacy-simulation agreement under shared seeds, (c)
+// two-sample chi-square cross-checks of replica statistics at a fixed
+// parallel time for IGT, approximate majority, rumor, and leader election,
+// and (d) agreement of census-engine stationary statistics with
+// igt_count_chain (equation (5)) and the Theorem 2.7 closed form.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -41,10 +41,9 @@ TEST(Kernel, IgtKernelMatchesInteract) {
       for (agent_state r = 0; r < proto.num_states(); ++r) {
         const auto dist = proto.outcome_distribution(i, r);
         ASSERT_EQ(dist.size(), 1u);
-        const auto direct = proto.interact(i, r, gen);
+        const auto direct = kernel.sample(i, r, gen);
         EXPECT_EQ(dist[0].initiator, direct.first);
         EXPECT_EQ(dist[0].responder, direct.second);
-        EXPECT_EQ(kernel.sample(i, r, gen), direct);
         EXPECT_EQ(kernel.identity(i, r),
                   direct == std::make_pair(i, r));
       }
@@ -52,7 +51,7 @@ TEST(Kernel, IgtKernelMatchesInteract) {
   }
 }
 
-// A protocol defining only the kernel: the default interact samples it.
+// A protocol defining only the kernel: its kernel_table samples it.
 class coin_protocol final : public protocol {
  public:
   [[nodiscard]] std::size_t num_states() const override { return 2; }
@@ -66,11 +65,12 @@ class coin_protocol final : public protocol {
 
 TEST(Kernel, DefaultInteractSamplesTheKernel) {
   const coin_protocol proto;
+  const kernel_table kernel(proto);
   rng gen(2);
   int heads = 0;
   constexpr int trials = 40000;
   for (int t = 0; t < trials; ++t) {
-    const auto [next_initiator, next_responder] = proto.interact(0, 1, gen);
+    const auto [next_initiator, next_responder] = kernel.sample(0, 1, gen);
     EXPECT_EQ(next_responder, 1u);
     heads += next_initiator == 1 ? 1 : 0;
   }
@@ -100,10 +100,13 @@ class kernelless_protocol final : public protocol {
 TEST(Kernel, ContractViolationsAreRejected) {
   EXPECT_THROW(kernel_table{bad_sum_protocol{}}, invariant_error);
   EXPECT_THROW(kernel_table{kernelless_protocol{}}, invariant_error);
-  // Default interact on a kernel-less protocol has nothing to sample.
+  // The defaults have nothing to sample: a kernel-less protocol has no
+  // outcome_distribution, and a kernel protocol is sampled only through its
+  // kernel_table, never through interact.
   rng gen(3);
   const kernelless_protocol proto;
   EXPECT_THROW((void)proto.outcome_distribution(0, 0), invariant_error);
+  EXPECT_THROW((void)coin_protocol{}.interact(0, 1, gen), invariant_error);
 }
 
 TEST(Engines, KernellessProtocolRestrictedToAgentEngine) {

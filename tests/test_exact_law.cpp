@@ -13,7 +13,8 @@
 // carried across calls. The batched engine runs the same chains with every
 // pair non-identity (no geometric skips); one-way k-IGT (k = 3) with AC,
 // AD and GTFT agents all present exercises its identity-skipping path. The
-// census engine is the control. Seeds are fixed and the level is
+// census engine is the control, and the agent engine checks its per-agent
+// draws from the same kernel_table. Seeds are fixed and the level is
 // Bonferroni-corrected over the accepting tests, so the outcome is
 // deterministic; temperature-0.6 engines must be rejected.
 #include <gtest/gtest.h>
@@ -122,10 +123,9 @@ const law_setup hawk_dove_setup = {{800, 200}, n, 97};
 // horizon makes each GTFT agent the initiator twice in expectation.
 const law_setup igt_setup = {{8, 4, 12, 0, 0}, 48, 5};
 constexpr std::size_t replicas = 4000;
-// Three engines x two hawk-dove disciplines plus two engines on IGT accept
-// at this family-wise level.
-constexpr double family_level = 0.01;
-constexpr double per_test_level = family_level / 8.0;
+// Four engines x two hawk-dove disciplines plus three engines on IGT: 11
+// accepting tests, so their family-wise level is 11 x 0.00125 = 0.01375.
+constexpr double per_test_level = 0.00125;
 
 /// Exact pmf of the census after `setup.horizon` interactions from
 /// `setup.initial`.
@@ -173,7 +173,7 @@ TEST(ExactLaw, EnginesMatchTheExactCensusChain) {
     ASSERT_TRUE(cc.chain.is_stochastic());
     const std::vector<double> pmf = exact_pmf(cc, hawk_dove_setup);
     for (const auto kind : {engine_kind::multibatch, engine_kind::batched,
-                            engine_kind::census}) {
+                            engine_kind::census, engine_kind::agent}) {
       const double p =
           engine_p_value(proto, kind, hawk_dove_setup, cc, pmf, 1301);
       EXPECT_GT(p, per_test_level)
@@ -188,7 +188,8 @@ TEST(ExactLaw, OneWayIgtMatchesTheExactCensusChain) {
   const census_chain cc = build_census_chain(proto, 24);
   ASSERT_TRUE(cc.chain.is_stochastic());
   const std::vector<double> pmf = exact_pmf(cc, igt_setup);
-  for (const auto kind : {engine_kind::batched, engine_kind::census}) {
+  for (const auto kind :
+       {engine_kind::batched, engine_kind::census, engine_kind::agent}) {
     const double p = engine_p_value(proto, kind, igt_setup, cc, pmf, 1303);
     EXPECT_GT(p, per_test_level) << engine_kind_name(kind);
   }

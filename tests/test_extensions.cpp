@@ -16,35 +16,38 @@ namespace {
 
 TEST(TwoWayIgt, BothGtftAgentsUpdate) {
   const igt_protocol proto(4, igt_discipline::two_way);
+  const kernel_table kernel(proto);
   rng gen(701);
   // GTFT(1) initiates against GTFT(2): both see a GTFT partner -> both
   // increment.
   const auto [next_i, next_r] =
-      proto.interact(igt_encoding::gtft(1), igt_encoding::gtft(2), gen);
+      kernel.sample(igt_encoding::gtft(1), igt_encoding::gtft(2), gen);
   EXPECT_EQ(next_i, igt_encoding::gtft(2));
   EXPECT_EQ(next_r, igt_encoding::gtft(3));
 }
 
 TEST(TwoWayIgt, ResponderUpdatesAgainstFixedInitiator) {
   const igt_protocol proto(4, igt_discipline::two_way);
+  const kernel_table kernel(proto);
   rng gen(702);
   // AD initiates against GTFT(2): initiator fixed, responder decrements.
   const auto [next_i, next_r] =
-      proto.interact(igt_encoding::ad, igt_encoding::gtft(2), gen);
+      kernel.sample(igt_encoding::ad, igt_encoding::gtft(2), gen);
   EXPECT_EQ(next_i, igt_encoding::ad);
   EXPECT_EQ(next_r, igt_encoding::gtft(1));
   // AC initiates against GTFT(2): responder increments.
   const auto [i2, r2] =
-      proto.interact(igt_encoding::ac, igt_encoding::gtft(2), gen);
+      kernel.sample(igt_encoding::ac, igt_encoding::gtft(2), gen);
   EXPECT_EQ(i2, igt_encoding::ac);
   EXPECT_EQ(r2, igt_encoding::gtft(3));
 }
 
 TEST(TwoWayIgt, OneWayLeavesResponderUnchanged) {
   const igt_protocol proto(4, igt_discipline::one_way);
+  const kernel_table kernel(proto);
   rng gen(703);
   const auto [next_i, next_r] =
-      proto.interact(igt_encoding::ad, igt_encoding::gtft(2), gen);
+      kernel.sample(igt_encoding::ad, igt_encoding::gtft(2), gen);
   EXPECT_EQ(next_r, igt_encoding::gtft(2));
 }
 

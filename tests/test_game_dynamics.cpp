@@ -234,39 +234,6 @@ TEST(GameProtocol, TwoWayKernelIsTheProductOfIndependentRevisions) {
   }
 }
 
-TEST(GameProtocol, InteractMatchesDefaultKernelSampling) {
-  // The cached-kernel interact must consume draws exactly like the default
-  // outcome_distribution sampler, so trajectories are independent of the
-  // caching optimization.
-  const game_protocol proto(hawk_dove_matrix(1.0, 2.0),
-                            std::make_shared<logit_response_rule>(0.4),
-                            revision_discipline::two_way);
-  // A shadow protocol exposing the same kernel through the default path.
-  class shadow final : public protocol {
-   public:
-    explicit shadow(const game_protocol& inner) : inner_(&inner) {}
-    [[nodiscard]] std::size_t num_states() const override {
-      return inner_->num_states();
-    }
-    [[nodiscard]] bool has_kernel() const override { return true; }
-    [[nodiscard]] std::vector<outcome> outcome_distribution(
-        agent_state i, agent_state r) const override {
-      return inner_->outcome_distribution(i, r);
-    }
-
-   private:
-    const game_protocol* inner_;
-  };
-  const shadow uncached(proto);
-  rng gen_a(11);
-  rng gen_b(11);
-  for (int trial = 0; trial < 2000; ++trial) {
-    const auto i = static_cast<agent_state>(trial % 2);
-    const auto r = static_cast<agent_state>((trial / 2) % 2);
-    EXPECT_EQ(proto.interact(i, r, gen_a), uncached.interact(i, r, gen_b));
-  }
-}
-
 // ---------------------------------------------------------------------------
 // The shared engine-agreement suite: for every update rule, on two games
 // each, the agent, census, batched, and multibatch engines must agree in
@@ -369,17 +336,6 @@ class legacy_igt_protocol final : public protocol {
             ? updated_level(responder, initiator)
             : responder;
     return {{next_initiator, next_responder, 1.0}};
-  }
-
-  [[nodiscard]] std::pair<agent_state, agent_state> interact(
-      agent_state initiator, agent_state responder,
-      rng& /*gen*/) const override {
-    const agent_state next_initiator = updated_level(initiator, responder);
-    const agent_state next_responder =
-        discipline_ == igt_discipline::two_way
-            ? updated_level(responder, initiator)
-            : responder;
-    return {next_initiator, next_responder};
   }
 
  private:

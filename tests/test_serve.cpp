@@ -384,8 +384,8 @@ TEST(ServeApp, SessionsShareCompiledKernels) {
       201);
   EXPECT_TRUE(second.find("kernel_cache_hit")->as_bool());
 
-  // A different protocol compiles its own kernel; the agent engine never
-  // touches the cache.
+  // A different protocol compiles its own kernel, which an agent session on
+  // that protocol then shares like any other engine.
   const json third = handle_json(
       app,
       make_request("POST", "/sessions",
@@ -397,12 +397,12 @@ TEST(ServeApp, SessionsShareCompiledKernels) {
       make_request("POST", "/sessions",
                    create_body(rumor_recipe(), "agent", 4)),
       201);
-  EXPECT_FALSE(fourth.find("kernel_cache_hit")->as_bool());
+  EXPECT_TRUE(fourth.find("kernel_cache_hit")->as_bool());
 
   const json stats = handle_json(app, make_request("GET", "/stats"), 200);
   const json* cache = stats.find("kernel_cache");
   EXPECT_EQ(cache->find("entries")->as_uint64(), 2u);
-  EXPECT_EQ(cache->find("hits")->as_uint64(), 1u);
+  EXPECT_EQ(cache->find("hits")->as_uint64(), 2u);
   EXPECT_EQ(cache->find("misses")->as_uint64(), 2u);
 }
 
