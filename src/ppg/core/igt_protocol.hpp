@@ -15,8 +15,8 @@
 //    test against the legacy hand-written transition function lives in
 //    tests/test_game_dynamics.cpp.
 //  - igt_action_protocol: transitions keyed on the responder's *observed
-//    action* in an actually played repeated game (the alternative discussed
-//    after Definition 2.1; for large delta the two nearly coincide).
+//    action* in one repeated game (the alternative discussed after
+//    Definition 2.1), compiled exactly; at s1 = 1 it is Definition 2.1.
 #pragma once
 
 #include <cstdint>
@@ -25,7 +25,6 @@
 #include "ppg/core/population_config.hpp"
 #include "ppg/games/closed_form.hpp"
 #include "ppg/games/game_protocol.hpp"
-#include "ppg/games/rollout.hpp"
 #include "ppg/pp/census.hpp"
 
 namespace ppg {
@@ -68,7 +67,13 @@ class igt_protocol final : public game_protocol {
 /// Action-keyed variant: the pair plays one repeated donation game and the
 /// GTFT initiator increments iff the opponent cooperated in a strict
 /// majority of its rounds (2 * col_cooperations > rounds), else decrements.
-/// Non-GTFT initiators and every responder keep their states.
+/// Non-GTFT initiators and every responder keep their states. The kernel is
+/// built at construction, renormalized over the first R = max(1, ceil(ln
+/// 2^-60 / ln delta)) rounds: truncation error <= delta^R <= 2^-60, below
+/// kernel_table::sample's 2^-53 resolution. That costs O(k^2 R^2) when
+/// s1 < 1 (~30 ms per GTFT pair at delta = 0.98 on a Xeon core, Release).
+/// At s1 = 1 every game is deterministic and the kernel is
+/// igt_protocol(k, one_way)'s.
 class igt_action_protocol final : public protocol {
  public:
   igt_action_protocol(std::size_t k, rd_setting setting, double g_max);
@@ -76,9 +81,8 @@ class igt_action_protocol final : public protocol {
   [[nodiscard]] std::size_t k() const { return k_; }
   [[nodiscard]] std::size_t num_states() const override { return 2 + k_; }
 
-  [[nodiscard]] std::pair<agent_state, agent_state> interact(
-      agent_state initiator, agent_state responder,
-      rng& gen) const override;
+  [[nodiscard]] std::vector<outcome> outcome_distribution(
+      agent_state initiator, agent_state responder) const override;
 
   [[nodiscard]] std::string state_name(agent_state state) const override;
 
@@ -89,6 +93,7 @@ class igt_action_protocol final : public protocol {
   std::size_t k_;
   rd_setting setting_;
   std::vector<double> grid_;
+  std::vector<std::vector<outcome>> kernel_;  ///< q*q compiled distributions
 };
 
 /// Builds the agent-state vector of an (alpha, beta, gamma) population with

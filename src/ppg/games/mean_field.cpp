@@ -37,8 +37,6 @@ void project_to_simplex(std::vector<double>& x) {
 
 mean_field_ode::mean_field_ode(const protocol& proto)
     : q_(proto.num_states()) {
-  PPG_CHECK(proto.has_kernel(),
-            "mean-field extraction requires a transition kernel");
   std::vector<double> delta(q_, 0.0);
   for (agent_state i = 0; i < q_; ++i) {
     for (agent_state r = 0; r < q_; ++r) {

@@ -20,8 +20,8 @@
 
 namespace ppg {
 
-/// The drift field extracted from a protocol's transition kernel. Requires
-/// has_kernel(); the protocol may be discarded after construction.
+/// The drift field extracted from a protocol's transition kernel; the
+/// protocol may be discarded after construction.
 class mean_field_ode {
  public:
   explicit mean_field_ode(const protocol& proto);

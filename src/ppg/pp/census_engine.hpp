@@ -21,8 +21,7 @@ class census_engine final : public sim_engine {
   /// `initial_counts[s]` is the number of agents starting in state s; its
   /// length is the census width, which may exceed the protocol's state
   /// count (pp/census.hpp's checked_census states what a valid census is).
-  /// The protocol must expose a kernel and must outlive the engine; a
-  /// non-null `kernel` is adopted as sim_spec::make_engine describes.
+  /// A non-null `kernel` is adopted as sim_spec::make_engine describes.
   census_engine(const protocol& proto,
                 std::vector<std::uint64_t> initial_counts, rng gen,
                 pair_sampling sampling = pair_sampling::distinct,

@@ -100,15 +100,11 @@ double sim_engine::parallel_time() const {
 simulation::simulation(const protocol& proto, population agents, rng gen,
                        pair_sampling sampling,
                        std::shared_ptr<const kernel_table> kernel)
-    : proto_(&proto),
-      num_states_(proto.num_states()),
-      kernel_(kernel || proto.has_kernel()
-                  ? adopt_kernel(proto, std::move(kernel))
-                  : nullptr),
+    : kernel_(adopt_kernel(proto, std::move(kernel))),
       agents_(std::move(agents)),
       gen_(gen),
       sampling_(sampling) {
-  (void)checked_census(agents_.counts(), num_states_, "agent engine");
+  (void)checked_census(agents_.counts(), kernel_->num_states(), "agent engine");
 }
 
 void simulation::step() {
@@ -118,20 +114,10 @@ void simulation::step() {
           : sample_with_replacement_pair(agents_.size(), gen_);
   const agent_state initiator = agents_.state_of(pair.initiator);
   const agent_state responder = agents_.state_of(pair.responder);
-  std::pair<agent_state, agent_state> next;
-  if (kernel_) {
-    // The table's outcomes were range-checked when it was compiled.
-    next = kernel_->sample(initiator, responder, gen_);
-  } else {
-    next = proto_->interact(initiator, responder, gen_);
-    // Catch rogue protocols loudly in every build type, including a state
-    // inside a wider population but past the protocol's own, which restore
-    // would refuse.
-    PPG_CHECK(next.first < num_states_ && next.second < num_states_,
-              "protocol emitted a state >= its num_states()");
-  }
+  const auto next = kernel_->sample(initiator, responder, gen_);
   // The applications take the debug-checked fast path: the pair indices
-  // come from the scheduler, which guarantees they are in range.
+  // come from the scheduler and the table's outcomes were range-checked
+  // when it was compiled.
   agents_.apply_interaction(pair.initiator, next.first);
   // Self-interactions can occur under with_replacement sampling; applying
   // the responder update second would clobber the initiator's, so skip it.
@@ -178,7 +164,8 @@ void simulation::restore_state(const json& snapshot) {
   // restored engine can never disagree with its own counts; the census is
   // then checked against the protocol like every engine's.
   population restored(std::move(states), agents_.num_state_kinds());
-  (void)checked_census(restored.counts(), num_states_, "agent snapshot");
+  (void)checked_census(restored.counts(), kernel_->num_states(),
+                       "agent snapshot");
   agents_ = std::move(restored);
   interactions_ = core.interactions;
   gen_ = core.gen;

@@ -135,13 +135,11 @@ class sim_engine {
 /// The agent-level engine: a per-agent state array, one draw per scheduled
 /// pair from the same compiled kernel_table the census-level engines sample.
 /// This is the reference implementation every other engine is
-/// law-equivalent to, and the only engine that supports protocols without a
-/// kernel: for those each pair goes through protocol::interact instead.
+/// law-equivalent to.
 class simulation final : public sim_engine {
  public:
-  /// A non-null `kernel` is adopted as sim_spec::make_engine describes.
-  /// Without one, a kernel protocol's table is compiled here and a
-  /// kernel-less protocol goes through interact.
+  /// A non-null `kernel` is adopted as sim_spec::make_engine describes;
+  /// without one, the protocol's table is compiled here.
   simulation(const protocol& proto, population agents, rng gen,
              pair_sampling sampling = pair_sampling::distinct,
              std::shared_ptr<const kernel_table> kernel = nullptr);
@@ -162,10 +160,6 @@ class simulation final : public sim_engine {
   void restore_state(const json& snapshot) override;
 
  private:
-  const protocol* proto_;
-  std::size_t num_states_;  ///< proto_->num_states(), off the hot path
-  /// The sampled kernel; null only for a kernel-less protocol, which goes
-  /// through proto_->interact.
   std::shared_ptr<const kernel_table> kernel_;
   population agents_;
   rng gen_;
@@ -178,7 +172,7 @@ class simulation final : public sim_engine {
 /// `make_engine(kind, gen_R)`) — every replica starts from the identical
 /// initial condition and differs only in its RNG stream, which is what the
 /// batch engine needs to fan one configuration out across a worker pool.
-/// The protocol must outlive the spec and every engine built from it.
+/// The protocol must outlive the spec; engines keep only its kernel_table.
 ///
 /// The initial condition may be given per-agent (a population) or as a bare
 /// census (counts per state). The census form never allocates per-agent
@@ -206,9 +200,8 @@ class sim_spec {
   /// A fresh engine of the requested kind at the initial condition, seeded
   /// from gen.split() exactly like instantiate — make_engine(agent, gen) and
   /// instantiate(gen) from equal generator states produce bitwise-identical
-  /// trajectories. The census, batched and multibatch engines require the
-  /// protocol to expose a kernel; the batched and multibatch engines
-  /// additionally require pair_sampling::distinct.
+  /// trajectories. Every kind runs every protocol; the batched and
+  /// multibatch engines require pair_sampling::distinct.
   ///
   /// A non-null `kernel` hands the engine, of any kind, a precompiled
   /// kernel table instead of compiling one from the protocol — the

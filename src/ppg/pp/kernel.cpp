@@ -6,30 +6,11 @@
 
 namespace ppg {
 
-std::vector<outcome> protocol::outcome_distribution(
-    agent_state /*initiator*/, agent_state /*responder*/) const {
-  PPG_CHECK(false,
-            "protocol exposes no transition kernel: override "
-            "outcome_distribution (and has_kernel), or use the agent engine "
-            "with an interact override");
-}
-
-std::pair<agent_state, agent_state> protocol::interact(
-    agent_state /*initiator*/, agent_state /*responder*/,
-    rng& /*gen*/) const {
-  PPG_CHECK(false,
-            "protocol has no interact override: a kernel protocol is "
-            "sampled through its kernel_table");
-}
-
 std::string protocol::state_name(agent_state state) const {
   return "s" + std::to_string(state);
 }
 
 kernel_table::kernel_table(const protocol& proto) : q_(proto.num_states()) {
-  PPG_CHECK(proto.has_kernel(),
-            "protocol exposes no transition kernel; census-level engines "
-            "require outcome_distribution (agent engine works without one)");
   PPG_CHECK(q_ >= 1, "protocol must have at least one state");
   offsets_.reserve(q_ * q_ + 1);
   identity_.assign(q_ * q_, 0);
@@ -65,12 +46,6 @@ outcome kernel_table::outcome_at(agent_state initiator, agent_state responder,
   const entry& o = entries_[begin + k];
   const double previous = k == 0 ? 0.0 : entries_[begin + k - 1].cumulative;
   return {o.initiator, o.responder, o.cumulative - previous};
-}
-
-bool kernel_table::deterministic(agent_state initiator,
-                                 agent_state responder) const {
-  const std::size_t pair = index(initiator, responder);
-  return offsets_[pair + 1] - offsets_[pair] == 1;
 }
 
 std::pair<agent_state, agent_state> kernel_table::sample(

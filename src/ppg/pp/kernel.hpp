@@ -26,17 +26,9 @@ struct outcome {
 };
 
 /// A population protocol: a (possibly randomized) transition function over
-/// ordered pairs of states.
-///
-/// Protocols have two descriptions and implement exactly one:
-///  - the *kernel view*: outcome_distribution(q_i, q_r) enumerates the finite
-///    distribution over post-interaction pairs (override it and has_kernel).
-///    Every engine compiles it into a kernel_table once and samples only
-///    that table, so a kernel protocol writes no sampler of its own;
-///  - the *sampling view*: interact(q_i, q_r, gen) draws the post-interaction
-///    pair directly. Protocols whose randomness is impractical to enumerate
-///    (e.g. igt_action_protocol's repeated-game rollouts) implement only this
-///    and are restricted to the agent engine.
+/// ordered pairs of states, described once by its kernel. Every engine
+/// compiles outcome_distribution into a kernel_table once and samples only
+/// that table, so a protocol writes no sampler of its own.
 class protocol {
  public:
   virtual ~protocol() = default;
@@ -47,22 +39,11 @@ class protocol {
   /// Size of the local state space.
   [[nodiscard]] virtual std::size_t num_states() const = 0;
 
-  /// Whether outcome_distribution is implemented. Engines that execute at
-  /// the census level (census, batched, multibatch) require a kernel.
-  [[nodiscard]] virtual bool has_kernel() const { return false; }
-
   /// The finite distribution over post-interaction (q_i', q_r') pairs for an
   /// ordered (initiator, responder) state pair. Probabilities must be
-  /// positive and sum to 1. The default implementation throws; override it
-  /// together with has_kernel.
+  /// positive and sum to 1.
   [[nodiscard]] virtual std::vector<outcome> outcome_distribution(
-      agent_state initiator, agent_state responder) const;
-
-  /// New (initiator, responder) states after an interaction, for a
-  /// protocol without a kernel. The default implementation throws; kernel
-  /// protocols are sampled through kernel_table instead.
-  [[nodiscard]] virtual std::pair<agent_state, agent_state> interact(
-      agent_state initiator, agent_state responder, rng& gen) const;
+      agent_state initiator, agent_state responder) const = 0;
 
   /// Human-readable state name (for traces and examples).
   [[nodiscard]] virtual std::string state_name(agent_state state) const;
@@ -71,8 +52,9 @@ class protocol {
 /// Flattened, validated kernel of a protocol over its q = num_states()
 /// ordered state pairs — the only sampler of a kernel in the library.
 /// Construction checks, for every pair, that outcome states are in range and
-/// probabilities are positive and sum to 1 (up to 1e-9); deterministic pairs
-/// (a single support point) are sampled without consuming random draws.
+/// probabilities are positive and sum to 1 (up to 1e-9), so engines apply
+/// sampled states unchecked; deterministic pairs (a single support point)
+/// are sampled without consuming random draws.
 class kernel_table {
  public:
   explicit kernel_table(const protocol& proto);
@@ -86,11 +68,7 @@ class kernel_table {
     return identity_[index(initiator, responder)];
   }
 
-  /// Whether the pair's distribution has a single support point.
-  [[nodiscard]] bool deterministic(agent_state initiator,
-                                   agent_state responder) const;
-
-  /// Whether every pair is deterministic.
+  /// Whether every pair's distribution has a single support point.
   [[nodiscard]] bool fully_deterministic() const {
     return fully_deterministic_;
   }

@@ -53,9 +53,8 @@ namespace ppg {
 
 class multibatch_engine final : public sim_engine {
  public:
-  /// Same contract as the batched engine: a kernel-bearing protocol,
-  /// pair_sampling::distinct only, and n capped at ~3e9 so pair weights
-  /// c_u * c_v fit in 64 bits.
+  /// Same contract as the batched engine: pair_sampling::distinct only,
+  /// and n capped at ~3e9 so pair weights c_u * c_v fit in 64 bits.
   multibatch_engine(const protocol& proto,
                     std::vector<std::uint64_t> initial_counts, rng gen,
                     pair_sampling sampling = pair_sampling::distinct,

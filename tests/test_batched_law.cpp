@@ -144,7 +144,6 @@ class random_kernel_protocol final : public protocol {
   static constexpr std::size_t q = 70;
 
   [[nodiscard]] std::size_t num_states() const override { return q; }
-  [[nodiscard]] bool has_kernel() const override { return true; }
 
   [[nodiscard]] std::vector<outcome> outcome_distribution(
       agent_state initiator, agent_state responder) const override {

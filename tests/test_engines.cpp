@@ -30,7 +30,7 @@
 namespace ppg {
 namespace {
 
-TEST(Kernel, IgtKernelMatchesInteract) {
+TEST(Kernel, IgtTableSamplesItsDeterministicKernel) {
   rng gen(1);
   for (const auto discipline :
        {igt_discipline::one_way, igt_discipline::two_way}) {
@@ -51,11 +51,10 @@ TEST(Kernel, IgtKernelMatchesInteract) {
   }
 }
 
-// A protocol defining only the kernel: its kernel_table samples it.
+// A two-outcome kernel: its kernel_table samples each outcome half the time.
 class coin_protocol final : public protocol {
  public:
   [[nodiscard]] std::size_t num_states() const override { return 2; }
-  [[nodiscard]] bool has_kernel() const override { return true; }
   [[nodiscard]] std::vector<outcome> outcome_distribution(
       agent_state /*initiator*/, agent_state responder) const override {
     // The initiator rerandomizes its opinion; the responder is unchanged.
@@ -63,7 +62,7 @@ class coin_protocol final : public protocol {
   }
 };
 
-TEST(Kernel, DefaultInteractSamplesTheKernel) {
+TEST(Kernel, TableSamplesATwoOutcomePairAtItsProbabilities) {
   const coin_protocol proto;
   const kernel_table kernel(proto);
   rng gen(2);
@@ -80,46 +79,14 @@ TEST(Kernel, DefaultInteractSamplesTheKernel) {
 class bad_sum_protocol final : public protocol {
  public:
   [[nodiscard]] std::size_t num_states() const override { return 2; }
-  [[nodiscard]] bool has_kernel() const override { return true; }
   [[nodiscard]] std::vector<outcome> outcome_distribution(
       agent_state initiator, agent_state responder) const override {
     return {{initiator, responder, 0.7}};  // sums to 0.7
   }
 };
 
-class kernelless_protocol final : public protocol {
- public:
-  [[nodiscard]] std::size_t num_states() const override { return 2; }
-  [[nodiscard]] std::pair<agent_state, agent_state> interact(
-      agent_state initiator, agent_state responder,
-      rng& /*gen*/) const override {
-    return {initiator, responder};
-  }
-};
-
 TEST(Kernel, ContractViolationsAreRejected) {
   EXPECT_THROW(kernel_table{bad_sum_protocol{}}, invariant_error);
-  EXPECT_THROW(kernel_table{kernelless_protocol{}}, invariant_error);
-  // The defaults have nothing to sample: a kernel-less protocol has no
-  // outcome_distribution, and a kernel protocol is sampled only through its
-  // kernel_table, never through interact.
-  rng gen(3);
-  const kernelless_protocol proto;
-  EXPECT_THROW((void)proto.outcome_distribution(0, 0), invariant_error);
-  EXPECT_THROW((void)coin_protocol{}.interact(0, 1, gen), invariant_error);
-}
-
-TEST(Engines, KernellessProtocolRestrictedToAgentEngine) {
-  const kernelless_protocol proto;
-  const sim_spec spec(proto, population({0, 1, 1, 0}, 2));
-  rng gen(4);
-  EXPECT_NO_THROW((void)spec.make_engine(engine_kind::agent, gen));
-  EXPECT_THROW((void)spec.make_engine(engine_kind::census, gen),
-               invariant_error);
-  EXPECT_THROW((void)spec.make_engine(engine_kind::batched, gen),
-               invariant_error);
-  EXPECT_THROW((void)spec.make_engine(engine_kind::multibatch, gen),
-               invariant_error);
 }
 
 TEST(Engines, BatchedAndMultibatchRequireDistinctSampling) {

@@ -22,12 +22,12 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <utility>
 #include <vector>
 
 #include "ppg/core/igt_protocol.hpp"
+#include "ppg/ehrenfest/simplex.hpp"
 #include "ppg/games/game_matrix.hpp"
 #include "ppg/games/game_protocol.hpp"
 #include "ppg/games/update_rule.hpp"
@@ -44,26 +44,11 @@ namespace {
 using census_vector = std::vector<std::uint64_t>;
 
 /// The census chain of `proto` over populations of `n` agents, with every
-/// census of the q-state simplex indexed in lexicographic order.
+/// census of the q-state simplex indexed by its lexicographic rank.
 struct census_chain {
-  std::map<census_vector, std::size_t> index;
+  simplex_index index;
   finite_chain chain;
 };
-
-void enumerate_censuses(std::size_t q, std::uint64_t left, census_vector& c,
-                        std::map<census_vector, std::size_t>& index) {
-  if (c.size() + 1 == q) {
-    c.push_back(left);
-    index.emplace(c, index.size());
-    c.pop_back();
-    return;
-  }
-  for (std::uint64_t k = 0; k <= left; ++k) {
-    c.push_back(k);
-    enumerate_censuses(q, left - k, c, index);
-    c.pop_back();
-  }
-}
 
 /// One interaction of the distinct-pair scheduler: ordered pair (u, v) of
 /// distinct agents with probability c_u (c_v - [u = v]) / (n (n - 1)),
@@ -71,12 +56,12 @@ void enumerate_censuses(std::size_t q, std::uint64_t left, census_vector& c,
 census_chain build_census_chain(const protocol& proto, std::uint64_t n) {
   const kernel_table kernel(proto);
   const std::size_t q = kernel.num_states();
-  std::map<census_vector, std::size_t> index;
-  census_vector scratch;
-  enumerate_censuses(q, n, scratch, index);
+  simplex_index index(q, n);
   finite_chain chain(index.size());
   const double pairs = static_cast<double>(n) * static_cast<double>(n - 1);
-  for (const auto& [c, from] : index) {
+  census_vector c = index.first();
+  do {
+    const std::size_t from = index.rank(c);
     for (std::size_t u = 0; u < q; ++u) {
       for (std::size_t v = 0; v < q; ++v) {
         if (c[u] == 0) continue;
@@ -93,11 +78,12 @@ census_chain build_census_chain(const protocol& proto, std::uint64_t n) {
           --next[v];
           ++next[o.initiator];
           ++next[o.responder];
-          chain.add_transition(from, index.at(next), weight * o.probability);
+          chain.add_transition(from, index.rank(next),
+                               weight * o.probability);
         }
       }
     }
-  }
+  } while (index.next(c));
   return {std::move(index), std::move(chain)};
 }
 
@@ -131,7 +117,7 @@ constexpr double per_test_level = 0.00125;
 /// `setup.initial`.
 std::vector<double> exact_pmf(const census_chain& cc, const law_setup& setup) {
   std::vector<double> mu(cc.index.size(), 0.0);
-  mu[cc.index.at(setup.initial)] = 1.0;
+  mu[cc.index.rank(setup.initial)] = 1.0;
   return cc.chain.evolve(std::move(mu), setup.horizon);
 }
 
@@ -153,7 +139,7 @@ double engine_p_value(const protocol& proto, engine_kind kind,
     for (std::size_t s = 0; s < c.size(); ++s) {
       c[s] = view.count(static_cast<agent_state>(s));
     }
-    ++observed[cc.index.at(c)];
+    ++observed[cc.index.rank(c)];
   }
   return chi_square_gof(observed, pmf).p_value;
 }

@@ -11,13 +11,13 @@
 #include <cstdlib>
 #include <limits>
 #include <string>
+#include <vector>
 
 #include "ppg/core/igt_protocol.hpp"
 #include "ppg/ehrenfest/exact_chain.hpp"
 #include "ppg/markov/chain.hpp"
 #include "ppg/markov/stationary.hpp"
 #include "ppg/pp/engine.hpp"
-#include "ppg/pp/trace.hpp"
 #include "ppg/serve/server.hpp"
 #include "ppg/stats/chi_square.hpp"
 #include "ppg/util/atomic_file.hpp"
@@ -26,23 +26,41 @@
 namespace ppg {
 namespace {
 
-// A protocol that emits a state outside its declared state space.
+// A protocol whose kernel emits a state outside its declared state space.
 class rogue_protocol final : public protocol {
  public:
   [[nodiscard]] std::size_t num_states() const override { return 2; }
-  [[nodiscard]] std::pair<agent_state, agent_state> interact(
-      agent_state, agent_state, rng&) const override {
-    return {7, 7};  // out of range
+  [[nodiscard]] std::vector<outcome> outcome_distribution(
+      agent_state, agent_state) const override {
+    return {{7, 7, 1.0}};  // out of range
   }
 };
 
-TEST(FailureInjection, RogueProtocolStateIsCaughtAtApplication) {
+TEST(FailureInjection, RogueKernelStateIsRefusedAtConstruction) {
+  // Compiling the kernel_table is the only guard: every engine kind refuses
+  // the protocol before its first step, even when state 7 fits a census
+  // eight states wide.
   const rogue_protocol proto;
-  simulation sim(proto, population({0, 1}, 2), rng(1));
-  EXPECT_THROW(sim.step(), invariant_error);
-  // State 7 fits a population eight states wide, but not the protocol's two.
-  simulation wide(proto, population({0, 1}, 8), rng(1));
-  EXPECT_THROW(wide.step(), invariant_error);
+  for (const std::size_t width : {std::size_t{2}, std::size_t{8}}) {
+    std::vector<std::uint64_t> counts(width, 0);
+    counts[0] = 1;
+    counts[1] = 1;
+    const sim_spec spec(proto, counts);
+    for (const auto kind : {engine_kind::agent, engine_kind::census,
+                            engine_kind::batched, engine_kind::multibatch}) {
+      SCOPED_TRACE(std::string(engine_kind_name(kind)) + " width " +
+                   std::to_string(width));
+      rng gen(1);
+      try {
+        (void)spec.make_engine(kind, gen);
+        ADD_FAILURE() << "engine accepted a rogue kernel";
+      } catch (const invariant_error& e) {
+        EXPECT_NE(std::string(e.what()).find("outcome state out of range"),
+                  std::string::npos)
+            << e.what();
+      }
+    }
+  }
 }
 
 // A protocol that under-declares its state space relative to the
@@ -111,17 +129,6 @@ TEST(FailureInjection, NanProbabilitiesRejectedByRng) {
   const double nan = std::numeric_limits<double>::quiet_NaN();
   EXPECT_FALSE(gen.next_bernoulli(nan));
   EXPECT_THROW((void)gen.next_geometric(nan), invariant_error);
-}
-
-TEST(FailureInjection, RecorderAfterStateCorruptionStaysConsistent) {
-  // Injecting a failing step must leave previously recorded rows intact.
-  const rogue_protocol proto;
-  simulation sim(proto, population({0, 1}, 2), rng(4));
-  census_recorder recorder({"a", "b"});
-  recorder.record(sim);
-  EXPECT_THROW(sim.step(), invariant_error);
-  EXPECT_EQ(recorder.row_count(), 1u);
-  EXPECT_EQ(recorder.rows()[0].interactions, 0u);
 }
 
 // --- deterministic fault plans (ppg-serve durability layer) ----------------

@@ -192,8 +192,9 @@ TEST(Integration, MixingTimeScalesRoughlyLinearlyInK) {
 }
 
 TEST(Integration, ActionKeyedVariantReachesSimilarStationaryShape) {
-  // The action-keyed protocol (inference from observed play) should land
-  // close to the type-keyed stationary occupancy when delta is large.
+  // The action-keyed protocol (inference from observed play) lands on the
+  // type-keyed stationary occupancy: at s1 = 1 its kernel is exactly
+  // Definition 2.1's.
   const std::size_t k = 3;
   const abg_population pop{12, 12, 26};
   const rd_setting setting{8.0, 1.0, 0.95, 1.0};
@@ -215,7 +216,7 @@ TEST(Integration, ActionKeyedVariantReachesSimilarStationaryShape) {
     x /= static_cast<double>(samples) * static_cast<double>(pop.num_gtft);
   }
   const auto expected = igt_stationary_probs(pop, k);
-  // Looser tolerance: the inference is only approximately type-revealing.
+  // The tolerance covers the time average of one finite trajectory.
   EXPECT_LT(total_variation(occupancy, expected), 0.12);
 }
 

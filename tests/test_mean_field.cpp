@@ -94,16 +94,7 @@ TEST(MeanField, ImitationConvergesToDefectionOnTheDonationGame) {
   EXPECT_NEAR(fixed.state[1], 1.0, 1e-6);  // all-defect
 }
 
-TEST(MeanField, RejectsKernellessProtocolsAndBadStates) {
-  class kernelless final : public protocol {
-   public:
-    [[nodiscard]] std::size_t num_states() const override { return 2; }
-    [[nodiscard]] std::pair<agent_state, agent_state> interact(
-        agent_state i, agent_state r, rng& /*gen*/) const override {
-      return {i, r};
-    }
-  };
-  EXPECT_THROW(mean_field_ode{kernelless{}}, invariant_error);
+TEST(MeanField, RejectsBadStates) {
   const mean_field_ode ode(rumor_protocol{});
   EXPECT_THROW((void)ode.drift({0.5}), invariant_error);
   EXPECT_THROW((void)integrate_mean_field(ode, {0.7, 0.7}, 0.01, 1),

@@ -107,10 +107,9 @@ TEST(Scheduler, NeedsEnoughAgents) {
 class max_protocol final : public protocol {
  public:
   [[nodiscard]] std::size_t num_states() const override { return 4; }
-  [[nodiscard]] std::pair<agent_state, agent_state> interact(
-      agent_state initiator, agent_state responder,
-      rng& /*gen*/) const override {
-    return {initiator, std::max(initiator, responder)};
+  [[nodiscard]] std::vector<outcome> outcome_distribution(
+      agent_state initiator, agent_state responder) const override {
+    return {{initiator, std::max(initiator, responder), 1.0}};
   }
 };
 
