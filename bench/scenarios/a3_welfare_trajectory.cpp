@@ -47,9 +47,8 @@ scenario_result run_a3(const scenario_context& ctx) {
     const auto pop =
         abg_population::from_fractions(n, alpha, beta, 0.9 - beta);
     const igt_protocol proto(k);
-    const sim_spec spec(
-        proto, population(make_igt_population_states(pop, k, 0), 2 + k),
-        pair_sampling::with_replacement);
+    const sim_spec spec(proto, igt_initial_counts(pop, k, 0),
+                        pair_sampling::with_replacement);
 
     // One replica: the generosity trace followed by the welfare trace,
     // sampled on the shared time grid.

@@ -24,8 +24,7 @@ scenario_result run_batch(const scenario_context& ctx) {
   const std::size_t k = 8;
   const auto pop = abg_population::from_fractions(1000, 0.1, 0.2, 0.7);
   const igt_protocol proto(k);
-  const sim_spec spec(
-      proto, population(make_igt_population_states(pop, k, 0), 2 + k));
+  const sim_spec spec(proto, igt_initial_counts(pop, k, 0));
   const std::size_t replicas = 8;
   const std::uint64_t steps = ctx.pick<std::uint64_t>(400'000, 100'000);
   const auto thread_counts =
@@ -37,9 +36,9 @@ scenario_result run_batch(const scenario_context& ctx) {
     return replicate_census(
         {replicas, derive_stream_seed(ctx.seed, 99), threads},
         [&](const replica_context&, rng& gen) {
-          simulation sim = spec.instantiate(gen);
-          sim.run(steps);
-          return sim.agents().fractions();
+          const auto sim = spec.make_engine(engine_kind::agent, gen);
+          sim->run(steps);
+          return sim->census().fractions();
         });
   };
 

@@ -18,8 +18,7 @@ int main() {
   const std::size_t k = 5;
 
   const igt_protocol proto(k);
-  const sim_spec spec(proto,
-                      population(make_igt_population_states(pop, k, 0), 2 + k));
+  const sim_spec spec(proto, igt_initial_counts(pop, k, 0));
   rng gen(99);
   const auto sim = spec.make_engine(engine_kind::census, gen);
 

@@ -96,21 +96,17 @@ class igt_action_protocol final : public protocol {
   std::vector<std::vector<outcome>> kernel_;  ///< q*q compiled distributions
 };
 
-/// Builds the agent-state vector of an (alpha, beta, gamma) population with
-/// the given initial GTFT levels (one entry per GTFT agent, values in
-/// {0, ..., k-1}; validated against k).
-[[nodiscard]] std::vector<agent_state> make_igt_population_states(
-    const abg_population& pop, std::size_t k,
-    const std::vector<std::uint32_t>& gtft_levels);
-
-/// Convenience: all GTFT agents start at the same level.
-[[nodiscard]] std::vector<agent_state> make_igt_population_states(
-    const abg_population& pop, std::size_t k, std::size_t uniform_level);
+/// The initial census of an (alpha, beta, gamma) population under either
+/// IGT protocol: num_ac agents in AC, num_ad in AD and every GTFT agent at
+/// generosity `level` (in {0, ..., k-1}), over the 2 + k states of
+/// igt_encoding. Throws ppg::invariant_error on an invalid population,
+/// k < 2 or level >= k.
+[[nodiscard]] std::vector<std::uint64_t> igt_initial_counts(
+    const abg_population& pop, std::size_t k, std::size_t level);
 
 /// Extracts the GTFT level census (length-k count vector, the z_t of the
-/// paper) from the census of a simulation run under either IGT protocol.
-/// Accepts any engine's census() as well as a population (implicitly
-/// viewed).
+/// paper) from the census of a simulation run under either IGT protocol —
+/// any engine's census().
 [[nodiscard]] std::vector<std::uint64_t> gtft_level_counts(
     const census_view& agents, std::size_t k);
 

@@ -37,14 +37,17 @@ void project_to_simplex(std::vector<double>& x) {
 
 mean_field_ode::mean_field_ode(const protocol& proto)
     : q_(proto.num_states()) {
+  // kernel_table is the one kernel validator (states in range, positive
+  // probabilities summing to 1). The drift still sums the protocol's own
+  // probabilities: the table's outcome_at returns differences of cumulative
+  // sums, which can move the last ulp.
+  (void)kernel_table(proto);
   std::vector<double> delta(q_, 0.0);
   for (agent_state i = 0; i < q_; ++i) {
     for (agent_state r = 0; r < q_; ++r) {
       const auto dist = proto.outcome_distribution(i, r);
       for (auto& d : delta) d = 0.0;
       for (const auto& o : dist) {
-        PPG_CHECK(o.initiator < q_ && o.responder < q_,
-                  "kernel outcome state out of range");
         delta[o.initiator] += o.probability;
         delta[o.responder] += o.probability;
       }

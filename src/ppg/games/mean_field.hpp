@@ -5,7 +5,8 @@
 //   dx_u/dt = sum_{i,r} x_i x_r * E[ Delta_u | kernel(i, r) ],
 //
 // with t in parallel-time units (n interactions per unit t). The drift is
-// extracted once from the same outcome_distribution the engines execute, so
+// extracted once from the same outcome_distribution the engines execute,
+// after kernel_table has validated it exactly as it does for them, so
 // a simulation and its deterministic limit can never disagree about the
 // dynamics being approximated. RK4 integration with a simplex projection,
 // plus a fixed-point relaxer, support cross-checking engine runs against

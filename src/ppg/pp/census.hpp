@@ -1,16 +1,17 @@
-// Census-level observation of a population: the per-state count vector plus
-// the population size, without any per-agent data. All engine-facing
-// observation — convergence predicates, snapshots, trace recording — is
-// phrased against this view, so it works identically whether the executing
-// engine keeps a per-agent array (agent engine) or only the counts (census
-// and batched engines). See DESIGN.md §3.
+// The census — the per-state count vector of n anonymous agents — as both
+// the initial condition and the observation of every engine. Each engine is
+// built from a census, checked once by checked_census below. All
+// engine-facing observation — convergence predicates, snapshots, trace
+// recording — is phrased against census_view, so it works identically
+// whether the executing engine keeps a per-agent array (agent engine) or
+// only the counts (census, batched and multibatch engines). See DESIGN.md §3.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <vector>
 
-#include "ppg/pp/population.hpp"
+#include "ppg/pp/kernel.hpp"
 #include "ppg/util/error.hpp"
 
 namespace ppg {
@@ -21,12 +22,6 @@ class census_view {
  public:
   census_view(const std::vector<std::uint64_t>& counts,
               std::uint64_t population_size);
-
-  /// Implicit: every population exposes its census. This keeps old
-  /// population-based call sites (`gtft_level_counts(sim.agents(), k)`,
-  /// `has_consensus(sim.agents())`) compiling against the census-based
-  /// signatures.
-  census_view(const population& agents);  // NOLINT(google-explicit-*)
 
   /// Number of agents currently in `state`.
   [[nodiscard]] std::uint64_t count(agent_state state) const;
@@ -55,7 +50,7 @@ class census_view {
 using census_predicate = std::function<bool(const census_view&)>;
 
 /// The one census intake: every engine constructor and restore_state, and
-/// both sim_spec constructors, decide census validity here. Checks that
+/// the sim_spec constructor, decide census validity here. Checks that
 /// `counts` is a census of a protocol with `num_states` states — width at
 /// least num_states, no agent in a state >= num_states, a total that fits in
 /// 64 bits (counts arrive from recipes and snapshots, so a wrapping sum must

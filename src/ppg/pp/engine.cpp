@@ -97,32 +97,44 @@ double sim_engine::parallel_time() const {
          static_cast<double>(now.population_size());
 }
 
-simulation::simulation(const protocol& proto, population agents, rng gen,
+simulation::simulation(const protocol& proto,
+                       std::vector<std::uint64_t> initial_counts, rng gen,
                        pair_sampling sampling,
                        std::shared_ptr<const kernel_table> kernel)
     : kernel_(adopt_kernel(proto, std::move(kernel))),
-      agents_(std::move(agents)),
+      counts_(std::move(initial_counts)),
+      n_(checked_census(counts_, kernel_->num_states(), "agent engine")),
       gen_(gen),
       sampling_(sampling) {
-  (void)checked_census(agents_.counts(), kernel_->num_states(), "agent engine");
+  states_.reserve(static_cast<std::size_t>(n_));
+  for (std::size_t s = 0; s < counts_.size(); ++s) {
+    states_.insert(states_.end(), static_cast<std::size_t>(counts_[s]),
+                   static_cast<agent_state>(s));
+  }
+}
+
+void simulation::move_agent(std::size_t agent, agent_state next) {
+  PPG_DCHECK(agent < states_.size(), "agent index out of range");
+  PPG_DCHECK(next < counts_.size(), "agent state out of range");
+  const agent_state prev = states_[agent];
+  if (prev == next) return;
+  --counts_[prev];
+  ++counts_[next];
+  states_[agent] = next;
 }
 
 void simulation::step() {
   const interaction pair =
       sampling_ == pair_sampling::distinct
-          ? sample_distinct_pair(agents_.size(), gen_)
-          : sample_with_replacement_pair(agents_.size(), gen_);
-  const agent_state initiator = agents_.state_of(pair.initiator);
-  const agent_state responder = agents_.state_of(pair.responder);
-  const auto next = kernel_->sample(initiator, responder, gen_);
-  // The applications take the debug-checked fast path: the pair indices
-  // come from the scheduler and the table's outcomes were range-checked
-  // when it was compiled.
-  agents_.apply_interaction(pair.initiator, next.first);
+          ? sample_distinct_pair(states_.size(), gen_)
+          : sample_with_replacement_pair(states_.size(), gen_);
+  const auto next =
+      kernel_->sample(states_[pair.initiator], states_[pair.responder], gen_);
+  move_agent(pair.initiator, next.first);
   // Self-interactions can occur under with_replacement sampling; applying
   // the responder update second would clobber the initiator's, so skip it.
   if (pair.responder != pair.initiator) {
-    agents_.apply_interaction(pair.responder, next.second);
+    move_agent(pair.responder, next.second);
   }
   ++interactions_;
 }
@@ -135,12 +147,8 @@ void simulation::run(std::uint64_t steps) {
 
 json simulation::save_state() const {
   json snapshot = snapshot_envelope(interactions_, gen_);
-  std::vector<std::uint64_t> states;
-  states.reserve(agents_.size());
-  for (const auto state : agents_.states()) {
-    states.push_back(state);
-  }
-  snapshot["states"] = json_uint_array(states);
+  snapshot["states"] = json_uint_array(
+      std::vector<std::uint64_t>(states_.begin(), states_.end()));
   return snapshot;
 }
 
@@ -151,54 +159,25 @@ void simulation::restore_state(const json& snapshot) {
   const auto core = check_snapshot_envelope(snapshot);
   const auto raw =
       json_require_uint_array(snapshot, "states", "agent snapshot");
-  PPG_CHECK(raw.size() == agents_.size(),
+  PPG_CHECK(raw.size() == states_.size(),
             "agent snapshot: population size mismatch");
+  // The census is re-derived from the states, so a restored engine can
+  // never disagree with its own counts; it is then checked against the
+  // protocol like every engine's.
+  std::vector<std::uint64_t> counts(counts_.size(), 0);
   std::vector<agent_state> states;
   states.reserve(raw.size());
   for (const auto state : raw) {
-    PPG_CHECK(state < agents_.num_state_kinds(),
+    PPG_CHECK(state < counts.size(),
               "agent snapshot: state outside the population's space");
+    ++counts[state];
     states.push_back(static_cast<agent_state>(state));
   }
-  // The population constructor re-derives the census from the states, so a
-  // restored engine can never disagree with its own counts; the census is
-  // then checked against the protocol like every engine's.
-  population restored(std::move(states), agents_.num_state_kinds());
-  (void)checked_census(restored.counts(), kernel_->num_states(),
-                       "agent snapshot");
-  agents_ = std::move(restored);
+  (void)checked_census(counts, kernel_->num_states(), "agent snapshot");
+  counts_ = std::move(counts);
+  states_ = std::move(states);
   interactions_ = core.interactions;
   gen_ = core.gen;
-}
-
-namespace {
-
-/// Expands a census of `n` agents into a per-agent state vector, grouped by
-/// state. Agents are anonymous, so any ordering induces the same interaction
-/// law.
-std::vector<agent_state> states_from_counts(
-    const std::vector<std::uint64_t>& counts, std::uint64_t n) {
-  std::vector<agent_state> states;
-  states.reserve(static_cast<std::size_t>(n));
-  for (std::size_t s = 0; s < counts.size(); ++s) {
-    for (std::uint64_t i = 0; i < counts[s]; ++i) {
-      states.push_back(static_cast<agent_state>(s));
-    }
-  }
-  return states;
-}
-
-}  // namespace
-
-sim_spec::sim_spec(const protocol& proto, population initial,
-                   pair_sampling sampling)
-    : proto_(&proto),
-      initial_(std::move(initial)),
-      initial_counts_(initial_->counts()),
-      n_(initial_->size()),
-      sampling_(sampling) {
-  (void)checked_census(initial_counts_, proto_->num_states(),
-                       "population spec");
 }
 
 sim_spec::sim_spec(const protocol& proto,
@@ -209,41 +188,32 @@ sim_spec::sim_spec(const protocol& proto,
       n_(checked_census(initial_counts_, proto_->num_states(), "census spec")),
       sampling_(sampling) {}
 
-const population& sim_spec::initial() const {
-  PPG_CHECK(initial_.has_value(),
-            "spec was built from a census; no per-agent initial condition");
-  return *initial_;
+namespace {
+
+/// Every kind is built from the same arguments and one gen.split().
+template <typename Engine>
+std::unique_ptr<sim_engine> build_engine(
+    const sim_spec& spec, rng& gen,
+    std::shared_ptr<const kernel_table> kernel) {
+  return std::make_unique<Engine>(spec.proto(), spec.initial_counts(),
+                                  gen.split(), spec.sampling(),
+                                  std::move(kernel));
 }
 
-simulation sim_spec::instantiate(
-    rng& gen, std::shared_ptr<const kernel_table> kernel) const {
-  population agents =
-      initial_.has_value()
-          ? *initial_
-          : population(states_from_counts(initial_counts_, n_),
-                       initial_counts_.size());
-  return simulation(*proto_, std::move(agents), gen.split(), sampling_,
-                    std::move(kernel));
-}
+}  // namespace
 
 std::unique_ptr<sim_engine> sim_spec::make_engine(
     engine_kind kind, rng& gen,
     std::shared_ptr<const kernel_table> kernel) const {
   switch (kind) {
     case engine_kind::agent:
-      return std::make_unique<simulation>(instantiate(gen, std::move(kernel)));
+      return build_engine<simulation>(*this, gen, std::move(kernel));
     case engine_kind::census:
-      return std::make_unique<census_engine>(*proto_, initial_counts_,
-                                             gen.split(), sampling_,
-                                             std::move(kernel));
+      return build_engine<census_engine>(*this, gen, std::move(kernel));
     case engine_kind::batched:
-      return std::make_unique<batched_engine>(*proto_, initial_counts_,
-                                              gen.split(), sampling_,
-                                              std::move(kernel));
+      return build_engine<batched_engine>(*this, gen, std::move(kernel));
     case engine_kind::multibatch:
-      return std::make_unique<multibatch_engine>(*proto_, initial_counts_,
-                                                 gen.split(), sampling_,
-                                                 std::move(kernel));
+      return build_engine<multibatch_engine>(*this, gen, std::move(kernel));
   }
   PPG_CHECK(false, "unknown engine kind");
 }

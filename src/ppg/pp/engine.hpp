@@ -1,15 +1,16 @@
 // The uniform simulation-engine interface: every execution backend —
-// agent-level loop, census-only sampler, batched geometric-skip sampler —
-// exposes the same surface (step / run / run_until / run_with_snapshots /
-// census / interactions / parallel_time), so drivers and experiments are
-// written once and the backend is a runtime choice (sim_spec::make_engine).
+// agent-level loop, census-only sampler, batched geometric-skip sampler,
+// aggregated multibatch rounds — is built from the same arguments (protocol,
+// initial census, rng, pair_sampling, kernel) and exposes the same surface
+// (step / run / run_until / run_with_snapshots / census / interactions /
+// parallel_time), so drivers and experiments are written once and the
+// backend is a runtime choice (sim_spec::make_engine).
 // The protocol abstraction itself lives in pp/kernel.hpp.
 // See DESIGN.md §3 for the engine architecture.
 #pragma once
 
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <string_view>
 #include <vector>
 
@@ -138,69 +139,67 @@ class sim_engine {
 /// law-equivalent to.
 class simulation final : public sim_engine {
  public:
-  /// A non-null `kernel` is adopted as sim_spec::make_engine describes;
-  /// without one, the protocol's table is compiled here.
-  simulation(const protocol& proto, population agents, rng gen,
-             pair_sampling sampling = pair_sampling::distinct,
+  /// Same contract as census_engine. The census is expanded into one state
+  /// per agent, grouped by ascending state (agent 0 holds the lowest
+  /// occupied state); agents are anonymous, so the order never changes the
+  /// interaction law.
+  simulation(const protocol& proto, std::vector<std::uint64_t> initial_counts,
+             rng gen, pair_sampling sampling = pair_sampling::distinct,
              std::shared_ptr<const kernel_table> kernel = nullptr);
 
   void step() override;
   void run(std::uint64_t steps) override;
 
-  [[nodiscard]] const population& agents() const { return agents_; }
-  [[nodiscard]] census_view census() const override { return {agents_}; }
+  [[nodiscard]] census_view census() const override { return {counts_, n_}; }
   [[nodiscard]] std::uint64_t interactions() const override {
     return interactions_;
   }
   [[nodiscard]] engine_kind kind() const override { return engine_kind::agent; }
 
-  /// Snapshot payload: the per-agent state array (the census is derived
-  /// from it on restore).
+  /// Snapshot payload: the per-agent state array, "states" (the census is
+  /// derived from it on restore). It is the only read of per-agent state.
   [[nodiscard]] json save_state() const override;
   void restore_state(const json& snapshot) override;
 
  private:
+  /// Moves one agent to `next`, keeping the counts in step. Bounds are
+  /// debug-checked only: scheduler indices are below n and the table's
+  /// outcomes were range-checked when it was compiled.
+  void move_agent(std::size_t agent, agent_state next);
+
   std::shared_ptr<const kernel_table> kernel_;
-  population agents_;
+  std::vector<std::uint64_t> counts_;
+  std::uint64_t n_;
+  std::vector<agent_state> states_;
   rng gen_;
   pair_sampling sampling_;
   std::uint64_t interactions_ = 0;
 };
 
-/// A seedless recipe for a simulation: protocol, initial condition, and
-/// sampling discipline. Replica R of a batch is `instantiate(gen_R)` (or
-/// `make_engine(kind, gen_R)`) — every replica starts from the identical
-/// initial condition and differs only in its RNG stream, which is what the
-/// batch engine needs to fan one configuration out across a worker pool.
-/// The protocol must outlive the spec; engines keep only its kernel_table.
+/// A seedless recipe for a simulation: protocol, initial census, and
+/// sampling discipline. Replica R of a batch is `make_engine(kind, gen_R)` —
+/// every replica starts from the identical initial census and differs only
+/// in its RNG stream, which is what the batch engine needs to fan one
+/// configuration out across a worker pool. The protocol must outlive the
+/// spec; engines keep only its kernel_table.
 ///
-/// The initial condition may be given per-agent (a population) or as a bare
-/// census (counts per state). The census form never allocates per-agent
-/// state, so census/batched engines scale to populations far beyond what an
-/// agent array can hold; the agent engine materializes agents from the
-/// census (grouped by state) on demand. Both forms pass the initial census
-/// through checked_census (pp/census.hpp), the intake every engine shares,
-/// so a spec no engine could run is refused at construction.
+/// The census is the whole initial condition: agents are anonymous, so the
+/// law of a run depends on the initial counts alone. The spec never
+/// allocates per-agent state, so census-level engines scale to populations
+/// far beyond what an agent array can hold; only the agent engine expands
+/// the census into agents. The census passes through checked_census
+/// (pp/census.hpp), the intake every engine shares, so a spec no engine
+/// could run is refused at construction.
 class sim_spec {
  public:
-  sim_spec(const protocol& proto, population initial,
-           pair_sampling sampling = pair_sampling::distinct);
-
   sim_spec(const protocol& proto, std::vector<std::uint64_t> initial_counts,
            pair_sampling sampling = pair_sampling::distinct);
 
-  /// A fresh agent-level simulation at the initial condition. The simulation
-  /// is seeded from gen.split(), so it owns an independent stream: the
-  /// caller's generator never shares draws with the simulation
-  /// (instantiating twice from one generator yields two *different*
-  /// trajectories). `kernel` is make_engine's.
-  [[nodiscard]] simulation instantiate(
-      rng& gen, std::shared_ptr<const kernel_table> kernel = nullptr) const;
-
-  /// A fresh engine of the requested kind at the initial condition, seeded
-  /// from gen.split() exactly like instantiate — make_engine(agent, gen) and
-  /// instantiate(gen) from equal generator states produce bitwise-identical
-  /// trajectories. Every kind runs every protocol; the batched and
+  /// A fresh engine of the requested kind at the initial census. Every kind
+  /// is built from the same arguments and seeded from one gen.split(), so it
+  /// owns an independent stream: the caller's generator never shares draws
+  /// with the engine (two engines made from one generator run *different*
+  /// trajectories). Every kind runs every protocol; the batched and
   /// multibatch engines require pair_sampling::distinct.
   ///
   /// A non-null `kernel` hands the engine, of any kind, a precompiled
@@ -213,12 +212,6 @@ class sim_spec {
       engine_kind kind, rng& gen,
       std::shared_ptr<const kernel_table> kernel = nullptr) const;
 
-  /// The per-agent initial condition; only available when the spec was
-  /// constructed from a population.
-  [[nodiscard]] const population& initial() const;
-  [[nodiscard]] bool has_agent_initial() const { return initial_.has_value(); }
-
-  /// The initial census (always available).
   [[nodiscard]] const std::vector<std::uint64_t>& initial_counts() const {
     return initial_counts_;
   }
@@ -232,7 +225,6 @@ class sim_spec {
 
  private:
   const protocol* proto_;
-  std::optional<population> initial_;
   std::vector<std::uint64_t> initial_counts_;
   std::uint64_t n_ = 0;
   pair_sampling sampling_;

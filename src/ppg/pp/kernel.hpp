@@ -1,7 +1,8 @@
 // The protocol abstraction and its transition kernel. A population protocol
-// is described once by its state-pair kernel (outcome_distribution); the
-// kernel_table below is the flattened, validated form every engine samples
-// from, so per-interaction work is independent of the population size.
+// is described once by its state-pair kernel (outcome_distribution) over
+// agent_state indices; the kernel_table below is the flattened, validated
+// form every engine samples from, so per-interaction work is independent of
+// the population size.
 // Execution backends live in pp/engine.hpp. See DESIGN.md §2 for the kernel
 // contract.
 #pragma once
@@ -12,10 +13,13 @@
 #include <utility>
 #include <vector>
 
-#include "ppg/pp/population.hpp"
 #include "ppg/util/rng.hpp"
 
 namespace ppg {
+
+/// An agent's local state: an index into the protocol's state space
+/// {0, ..., num_states() - 1}.
+using agent_state = std::uint32_t;
 
 /// One support point of a transition kernel: the post-interaction
 /// (initiator, responder) states and their probability.

@@ -115,11 +115,12 @@ TEST(Absorbing, LeaderCountChainMatchesAgentSimulation) {
   absorbing[0] = true;
   const double exact = expected_absorption_times(chain, absorbing)[n - 1];
 
+  std::vector<std::uint64_t> all_leaders(2, 0);
+  all_leaders[leader_election_protocol::state_leader] = n;
   running_summary simulated;
   for (int t = 0; t < 60; ++t) {
     const leader_election_protocol proto;
-    simulation sim(proto,
-                   population(n, leader_election_protocol::state_leader, 2),
+    simulation sim(proto, all_leaders,
                    rng(800 + static_cast<std::uint64_t>(t)));
     const auto steps = sim.run_until(
         leader_election_protocol::has_unique_leader, 100'000'000);

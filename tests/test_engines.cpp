@@ -1,8 +1,8 @@
 // Engine equivalence suite: the agent, census, batched, and multibatch
 // engines execute the same interaction law for a given (protocol, initial
 // census, sampling) triple. Pinned here via (a) exact agreement of the
-// compiled kernel_table with outcome_distribution, (b) bitwise
-// agent-engine/legacy-simulation agreement under shared seeds, (c)
+// compiled kernel_table with outcome_distribution, (b) the agent engine's
+// grouped expansion of its census and its incremental counts, (c)
 // two-sample chi-square cross-checks of replica statistics at a fixed
 // parallel time for IGT, approximate majority, rumor, and leader election,
 // and (d) agreement of census-engine stationary statistics with
@@ -91,7 +91,7 @@ TEST(Kernel, ContractViolationsAreRejected) {
 
 TEST(Engines, BatchedAndMultibatchRequireDistinctSampling) {
   const rumor_protocol proto;
-  const sim_spec spec(proto, population({1, 0, 0, 0}, 2),
+  const sim_spec spec(proto, std::vector<std::uint64_t>{3, 1},
                       pair_sampling::with_replacement);
   rng gen(5);
   EXPECT_THROW((void)spec.make_engine(engine_kind::batched, gen),
@@ -102,7 +102,7 @@ TEST(Engines, BatchedAndMultibatchRequireDistinctSampling) {
 }
 
 // One intake (checked_census) decides census validity for all four engines
-// and both sim_spec forms: a census narrower than the protocol, agents in a
+// and sim_spec: a census narrower than the protocol, agents in a
 // state outside the protocol's space, a total that wraps 2^64, and fewer
 // than two agents are each refused at construction.
 TEST(Engines, EveryKindRefusesAnInvalidCensus) {
@@ -111,20 +111,12 @@ TEST(Engines, EveryKindRefusesAnInvalidCensus) {
       {300}, {280, 20, 7}, {~std::uint64_t{0} - 4, 15}, {1, 0, 0}};
   for (const auto& counts : bad_censuses) {
     SCOPED_TRACE(json_uint_array(counts).dump_string(false));
+    EXPECT_THROW((void)simulation(proto, counts, rng(6)), invariant_error);
     EXPECT_THROW((void)census_engine(proto, counts, rng(6)), invariant_error);
     EXPECT_THROW((void)batched_engine(proto, counts, rng(6)), invariant_error);
     EXPECT_THROW((void)multibatch_engine(proto, counts, rng(6)),
                  invariant_error);
     EXPECT_THROW((void)sim_spec(proto, counts), invariant_error);
-  }
-  // The per-agent forms; a population cannot hold 2^64 agents.
-  const population bad_populations[] = {population(300, 0, 1),
-                                        population({0, 1, 2}, 3),
-                                        population(1, 0, 2)};
-  for (const auto& agents : bad_populations) {
-    SCOPED_TRACE(json_uint_array(agents.counts()).dump_string(false));
-    EXPECT_THROW((void)simulation(proto, agents, rng(6)), invariant_error);
-    EXPECT_THROW((void)sim_spec(proto, agents), invariant_error);
   }
   // A wider census is fine while the extra states stay empty.
   const sim_spec wide(proto, std::vector<std::uint64_t>{280, 20, 0});
@@ -135,27 +127,40 @@ TEST(Engines, EveryKindRefusesAnInvalidCensus) {
   }
 }
 
-TEST(Engines, AgentEngineIsBitwiseTheLegacySimulation) {
+// The agent engine expands its census into one state per agent, grouped by
+// ascending state, and keeps its counts equal to the histogram of those
+// states as it runs.
+TEST(Engines, AgentEngineExpandsTheCensusGroupedByState) {
   const igt_protocol proto(4);
   const auto pop = abg_population::from_fractions(60, 0.2, 0.3, 0.5);
-  const sim_spec spec(proto,
-                      population(make_igt_population_states(pop, 4, 1), 6));
-  rng gen_a(77);
-  rng gen_b(77);
-  const auto engine = spec.make_engine(engine_kind::agent, gen_a);
-  simulation legacy = spec.instantiate(gen_b);
-  engine->run(5000);
-  legacy.run(5000);
-  EXPECT_EQ(engine->census().counts(), legacy.census().counts());
-  EXPECT_EQ(engine->interactions(), legacy.interactions());
+  const auto counts = igt_initial_counts(pop, 4, 1);
+  const auto states_of = [](const simulation& sim) {
+    return json_require_uint_array(sim.save_state(), "states",
+                                   "agent snapshot");
+  };
+  simulation sim(proto, counts, rng(77));
+  std::vector<std::uint64_t> grouped;
+  for (std::size_t s = 0; s < counts.size(); ++s) {
+    grouped.insert(grouped.end(), counts[s], s);
+  }
+  EXPECT_EQ(states_of(sim), grouped);
+
+  sim.run(5000);
+  std::vector<std::uint64_t> histogram(counts.size(), 0);
+  for (const auto state : states_of(sim)) {
+    ASSERT_LT(state, histogram.size());
+    ++histogram[state];
+  }
+  EXPECT_EQ(sim.census().counts(), histogram);
+  EXPECT_NE(histogram, counts);  // the run moved agents
+  EXPECT_EQ(sim.interactions(), 5000u);
 }
 
 TEST(Engines, AgreeOnIgtAtFixedParallelTime) {
   const std::size_t k = 4;
   const auto pop = abg_population::from_fractions(240, 0.1, 0.25, 0.65);
   const igt_protocol proto(k);
-  const sim_spec spec(proto,
-                      population(make_igt_population_states(pop, k, 0), 2 + k));
+  const sim_spec spec(proto, igt_initial_counts(pop, k, 0));
   const std::uint64_t steps = 40 * pop.n();  // parallel time 40
   const auto statistic = [&](const census_view& census) {
     const auto z = gtft_level_counts(census, k);
@@ -182,11 +187,11 @@ TEST(Engines, AgreeOnIgtAtFixedParallelTime) {
 TEST(Engines, AgreeOnApproximateMajorityAtFixedParallelTime) {
   using amp = approximate_majority_protocol;
   const amp proto;
-  std::vector<agent_state> states;
-  states.insert(states.end(), 60, amp::state_x);
-  states.insert(states.end(), 40, amp::state_y);
-  states.insert(states.end(), 20, amp::state_blank);
-  const sim_spec spec(proto, population(std::move(states), 3));
+  std::vector<std::uint64_t> counts(3, 0);
+  counts[amp::state_x] = 60;
+  counts[amp::state_y] = 40;
+  counts[amp::state_blank] = 20;
+  const sim_spec spec(proto, counts);
   const std::uint64_t steps = 2 * 120;  // parallel time 2: mid-dynamics
   const auto statistic = [](const census_view& census) {
     return static_cast<double>(census.count(amp::state_x)) -
@@ -208,9 +213,10 @@ TEST(Engines, AgreeOnApproximateMajorityAtFixedParallelTime) {
 
 TEST(Engines, AgreeOnRumorAtFixedParallelTime) {
   const rumor_protocol proto;
-  std::vector<agent_state> states(150, rumor_protocol::state_susceptible);
-  states[0] = rumor_protocol::state_informed;
-  const sim_spec spec(proto, population(std::move(states), 2));
+  std::vector<std::uint64_t> counts(2, 0);
+  counts[rumor_protocol::state_susceptible] = 149;
+  counts[rumor_protocol::state_informed] = 1;
+  const sim_spec spec(proto, counts);
   const std::uint64_t steps = 3 * 150;  // parallel time 3: mid-spread
   const auto statistic = [](const census_view& census) {
     return static_cast<double>(census.count(rumor_protocol::state_informed));
@@ -231,8 +237,9 @@ TEST(Engines, AgreeOnRumorAtFixedParallelTime) {
 
 TEST(Engines, AgreeOnLeaderElectionAtFixedParallelTime) {
   const leader_election_protocol proto;
-  const sim_spec spec(
-      proto, population(150, leader_election_protocol::state_leader, 2));
+  std::vector<std::uint64_t> counts(2, 0);
+  counts[leader_election_protocol::state_leader] = 150;
+  const sim_spec spec(proto, counts);
   const std::uint64_t steps = 2 * 150;  // parallel time 2: mid-election
   const auto statistic = [](const census_view& census) {
     return static_cast<double>(
@@ -256,9 +263,10 @@ TEST(Engines, ChiSquareCrossCheckDetectsDifferentLaws) {
   // Negative control for the helper: the same engine at different parallel
   // times follows different laws, which the test statistic must flag.
   const rumor_protocol proto;
-  std::vector<agent_state> states(150, rumor_protocol::state_susceptible);
-  states[0] = rumor_protocol::state_informed;
-  const sim_spec spec(proto, population(std::move(states), 2));
+  std::vector<std::uint64_t> counts(2, 0);
+  counts[rumor_protocol::state_susceptible] = 149;
+  counts[rumor_protocol::state_informed] = 1;
+  const sim_spec spec(proto, counts);
   const auto statistic = [](const census_view& census) {
     return static_cast<double>(census.count(rumor_protocol::state_informed));
   };
@@ -276,8 +284,7 @@ TEST(Engines, CensusEngineMatchesCountChainStationary) {
   const std::size_t k = 5;
   const auto pop = abg_population::from_fractions(200, 0.1, 0.25, 0.65);
   const igt_protocol proto(k);
-  const sim_spec spec(proto,
-                      population(make_igt_population_states(pop, k, 0), 2 + k),
+  const sim_spec spec(proto, igt_initial_counts(pop, k, 0),
                       pair_sampling::with_replacement);
   const auto burn =
       static_cast<std::uint64_t>(igt_mixing_upper_bound(pop, k));
@@ -325,7 +332,6 @@ TEST(Engines, CensusEngineRunsHundredMillionAgents) {
   counts[igt_encoding::ad] = 20'000'000;
   counts[igt_encoding::gtft(0)] = 70'000'000;
   const sim_spec spec(proto, counts);
-  EXPECT_FALSE(spec.has_agent_initial());
   EXPECT_EQ(spec.population_size(), 100'000'000u);
   rng gen(103);
   const auto engine = spec.make_engine(engine_kind::census, gen);
@@ -389,8 +395,7 @@ TEST(Engines, MultibatchRoundsSurviveBudgetTruncation) {
   // accounting and the census intact.
   const igt_protocol proto(3);
   const auto pop = abg_population::from_fractions(500, 0.2, 0.3, 0.5);
-  const sim_spec spec(proto,
-                      population(make_igt_population_states(pop, 3, 0), 5));
+  const sim_spec spec(proto, igt_initial_counts(pop, 3, 0));
   rng gen(109);
   const auto engine = spec.make_engine(engine_kind::multibatch, gen);
   std::uint64_t done = 0;
@@ -407,8 +412,9 @@ TEST(Engines, MultibatchRoundsSurviveBudgetTruncation) {
 TEST(Engines, BatchedFrozenCensusBurnsTheBudget) {
   // All agents informed: every pair is an identity, active weight 0.
   const rumor_protocol proto;
-  const sim_spec spec(proto,
-                      population(50, rumor_protocol::state_informed, 2));
+  std::vector<std::uint64_t> counts(2, 0);
+  counts[rumor_protocol::state_informed] = 50;
+  const sim_spec spec(proto, counts);
   rng gen(105);
   const auto engine = spec.make_engine(engine_kind::batched, gen);
   engine->run(5000);
@@ -422,9 +428,10 @@ TEST(Engines, BatchedFrozenCensusBurnsTheBudget) {
 
 TEST(Engines, RunUntilConvergesOnEveryEngine) {
   const rumor_protocol proto;
-  std::vector<agent_state> states(100, rumor_protocol::state_susceptible);
-  states[0] = rumor_protocol::state_informed;
-  const sim_spec spec(proto, population(std::move(states), 2));
+  std::vector<std::uint64_t> counts(2, 0);
+  counts[rumor_protocol::state_susceptible] = 99;
+  counts[rumor_protocol::state_informed] = 1;
+  const sim_spec spec(proto, counts);
   for (const auto kind :
        {engine_kind::agent, engine_kind::census, engine_kind::batched,
         engine_kind::multibatch}) {
@@ -441,8 +448,7 @@ TEST(Engines, RunUntilConvergesOnEveryEngine) {
 TEST(Engines, SnapshotCadenceIsUniformAcrossEngines) {
   const igt_protocol proto(3);
   const auto pop = abg_population::from_fractions(40, 0.2, 0.3, 0.5);
-  const sim_spec spec(proto,
-                      population(make_igt_population_states(pop, 3, 0), 5));
+  const sim_spec spec(proto, igt_initial_counts(pop, 3, 0));
   for (const auto kind :
        {engine_kind::agent, engine_kind::census, engine_kind::batched,
         engine_kind::multibatch}) {

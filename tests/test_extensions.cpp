@@ -61,15 +61,14 @@ TEST(TwoWayIgt, SameStationaryCensusAsOneWay) {
   for (const auto discipline :
        {igt_discipline::one_way, igt_discipline::two_way}) {
     const igt_protocol proto(k, discipline);
-    simulation sim(proto,
-                   population(make_igt_population_states(pop, k, 0), 2 + k),
-                   rng(704), pair_sampling::with_replacement);
+    simulation sim(proto, igt_initial_counts(pop, k, 0), rng(704),
+                   pair_sampling::with_replacement);
     sim.run(300'000);
     std::vector<double> occupancy(k, 0.0);
     const std::uint64_t samples = 400'000;
     for (std::uint64_t i = 0; i < samples; ++i) {
       sim.step();
-      const auto census = gtft_level_counts(sim.agents(), k);
+      const auto census = gtft_level_counts(sim.census(), k);
       for (std::size_t j = 0; j < k; ++j) {
         occupancy[j] += static_cast<double>(census[j]);
       }
@@ -98,13 +97,12 @@ TEST(TwoWayIgt, ConvergesFasterThanOneWay) {
 
   auto hitting = [&](igt_discipline discipline, std::uint64_t seed) {
     const igt_protocol proto(k, discipline);
-    simulation sim(proto,
-                   population(make_igt_population_states(pop, k, 0), 2 + k),
-                   rng(seed), pair_sampling::with_replacement);
+    simulation sim(proto, igt_initial_counts(pop, k, 0), rng(seed),
+                   pair_sampling::with_replacement);
     for (std::uint64_t t = 1; t <= 50'000'000; ++t) {
       sim.step();
       if (t % 32 != 0) continue;
-      const auto census = gtft_level_counts(sim.agents(), k);
+      const auto census = gtft_level_counts(sim.census(), k);
       double mean_level = 0.0;
       for (std::size_t j = 0; j < k; ++j) {
         mean_level +=

@@ -63,11 +63,10 @@ TEST(FailureInjection, RogueKernelStateIsRefusedAtConstruction) {
   }
 }
 
-// A protocol that under-declares its state space relative to the
-// population's encoding.
+// A census narrower than the protocol's state space.
 TEST(FailureInjection, PopulationSmallerThanProtocolIsRejected) {
   const igt_protocol proto(8);  // needs 10 states
-  EXPECT_THROW(simulation(proto, population({0, 1}, 3), rng(2)),
+  EXPECT_THROW(simulation(proto, std::vector<std::uint64_t>{1, 1, 0}, rng(2)),
                invariant_error);
 }
 
@@ -117,9 +116,7 @@ TEST(FailureInjection, ChiSquareRejectsEmptyAndMismatchedInput) {
 TEST(FailureInjection, CorruptCensusLevelsRejected) {
   const abg_population pop{1, 1, 2};
   // Level 9 does not exist for k = 4.
-  EXPECT_THROW((void)make_igt_population_states(
-                   pop, 4, std::vector<std::uint32_t>{0, 9}),
-               invariant_error);
+  EXPECT_THROW((void)igt_initial_counts(pop, 4, 9), invariant_error);
 }
 
 TEST(FailureInjection, NanProbabilitiesRejectedByRng) {

@@ -1,5 +1,5 @@
 // Tests for the k-IGT dynamics: the Definition 2.1 transition table, the
-// population construction, the count-chain reduction (equation (5)), and
+// initial census construction, the count-chain reduction (equation (5)), and
 // the action-keyed variant.
 #include <gtest/gtest.h>
 
@@ -131,25 +131,25 @@ TEST(AbgPopulation, EhrenfestReduction) {
   EXPECT_NEAR(params.lambda(), pop.lambda(), 1e-12);
 }
 
-TEST(IgtPopulationStates, LayoutAndCensus) {
+TEST(IgtInitialCounts, LayoutAndCensus) {
   const abg_population pop{2, 3, 4};
-  const auto states = make_igt_population_states(pop, 5, 2);
-  ASSERT_EQ(states.size(), 9u);
-  const population agents(states, 2 + 5);
-  EXPECT_EQ(agents.count(igt_encoding::ac), 2u);
-  EXPECT_EQ(agents.count(igt_encoding::ad), 3u);
-  const auto census = gtft_level_counts(agents, 5);
+  const auto counts = igt_initial_counts(pop, 5, 2);
+  ASSERT_EQ(counts.size(), 2u + 5u);
+  EXPECT_EQ(counts[igt_encoding::ac], 2u);
+  EXPECT_EQ(counts[igt_encoding::ad], 3u);
+  const auto census = gtft_level_counts(census_view(counts, pop.n()), 5);
   EXPECT_EQ(census[2], 4u);
   EXPECT_EQ(std::accumulate(census.begin(), census.end(), std::uint64_t{0}),
             4u);
+  EXPECT_THROW((void)igt_initial_counts(pop, 1, 0), invariant_error);
+  EXPECT_THROW((void)igt_initial_counts(abg_population{2, 3, 0}, 5, 0),
+               invariant_error);
 }
 
-TEST(IgtPopulationStates, ExplicitLevels) {
-  const abg_population pop{1, 1, 3};
-  const auto states = make_igt_population_states(
-      pop, 4, std::vector<std::uint32_t>{0, 1, 3});
-  const population agents(states, 6);
-  const auto census = gtft_level_counts(agents, 4);
+TEST(IgtInitialCounts, LevelCensusOfMixedLevels) {
+  // One GTFT agent at each of levels 0, 1 and 3 (k = 4).
+  const std::vector<std::uint64_t> counts = {1, 1, 1, 1, 0, 1};
+  const auto census = gtft_level_counts(census_view(counts, 5), 4);
   EXPECT_EQ(census, (std::vector<std::uint64_t>{1, 1, 0, 1}));
 }
 
@@ -326,13 +326,13 @@ TEST(IgtActionProtocol, AtFullInitialCooperationIsDefinition21) {
     }
   }
   const auto pop = abg_population::from_fractions(60, 0.2, 0.3, 0.5);
-  const population agents(make_igt_population_states(pop, k, 1), 2 + k);
-  simulation action_sim(action_proto, agents, rng(612));
-  simulation type_sim(type_proto, agents, rng(612));
+  const auto counts = igt_initial_counts(pop, k, 1);
+  simulation action_sim(action_proto, counts, rng(612));
+  simulation type_sim(type_proto, counts, rng(612));
   for (int chunk = 0; chunk < 20; ++chunk) {
     action_sim.run(500);
     type_sim.run(500);
-    ASSERT_EQ(action_sim.agents().states(), type_sim.agents().states());
+    ASSERT_EQ(action_sim.save_state(), type_sim.save_state());
   }
 }
 
@@ -340,8 +340,7 @@ TEST(IgtActionProtocol, RunsOnEveryEngineAndFeedsTheMeanField) {
   const std::size_t k = 3;
   const igt_action_protocol proto(k, rd_setting{3.0, 1.0, 0.5, 0.5}, 0.3);
   const auto pop = abg_population::from_fractions(200, 0.2, 0.2, 0.6);
-  const sim_spec spec(proto,
-                      population(make_igt_population_states(pop, k, 0), 2 + k));
+  const sim_spec spec(proto, igt_initial_counts(pop, k, 0));
   rng gen(613);
   for (const auto kind : {engine_kind::agent, engine_kind::census,
                           engine_kind::batched, engine_kind::multibatch}) {
@@ -362,18 +361,17 @@ TEST(IgtReduction, AgentLevelTransitionFrequenciesMatchEquation5) {
   const abg_population pop{30, 20, 50};
   const igt_protocol proto(k);
   // Freeze the census at a known state: all GTFT at level 1 (middle).
-  const auto states = make_igt_population_states(pop, k, 1);
+  const auto counts = igt_initial_counts(pop, k, 1);
   rng gen(607);
   // Use with-replacement sampling to match (5) exactly.
   constexpr int trials = 400000;
   int up_moves = 0;
   int down_moves = 0;
   for (int i = 0; i < trials; ++i) {
-    population agents(states, 2 + k);
-    simulation sim(proto, std::move(agents), gen.split(),
+    simulation sim(proto, counts, gen.split(),
                    pair_sampling::with_replacement);
     sim.step();
-    const auto census = gtft_level_counts(sim.agents(), k);
+    const auto census = gtft_level_counts(sim.census(), k);
     if (census[2] == 1) ++up_moves;
     if (census[0] == 1) ++down_moves;
   }

@@ -29,14 +29,13 @@ std::vector<double> simulate_agent_occupancy(const abg_population& pop,
                                              std::uint64_t samples,
                                              std::uint64_t seed) {
   const igt_protocol proto(k);
-  simulation sim(proto,
-                 population(make_igt_population_states(pop, k, 0), 2 + k),
-                 rng(seed), pair_sampling::with_replacement);
+  simulation sim(proto, igt_initial_counts(pop, k, 0), rng(seed),
+                 pair_sampling::with_replacement);
   sim.run(burn);
   std::vector<double> occupancy(k, 0.0);
   for (std::uint64_t i = 0; i < samples; ++i) {
     sim.step();
-    const auto census = gtft_level_counts(sim.agents(), k);
+    const auto census = gtft_level_counts(sim.census(), k);
     for (std::size_t j = 0; j < k; ++j) {
       occupancy[j] += static_cast<double>(census[j]);
     }
@@ -199,15 +198,14 @@ TEST(Integration, ActionKeyedVariantReachesSimilarStationaryShape) {
   const abg_population pop{12, 12, 26};
   const rd_setting setting{8.0, 1.0, 0.95, 1.0};
   const igt_action_protocol proto(k, setting, 0.3);
-  simulation sim(proto,
-                 population(make_igt_population_states(pop, k, 0), 2 + k),
-                 rng(908), pair_sampling::with_replacement);
+  simulation sim(proto, igt_initial_counts(pop, k, 0), rng(908),
+                 pair_sampling::with_replacement);
   sim.run(60'000);
   std::vector<double> occupancy(k, 0.0);
   const std::uint64_t samples = 120'000;
   for (std::uint64_t i = 0; i < samples; ++i) {
     sim.step();
-    const auto census = gtft_level_counts(sim.agents(), k);
+    const auto census = gtft_level_counts(sim.census(), k);
     for (std::size_t j = 0; j < k; ++j) {
       occupancy[j] += static_cast<double>(census[j]);
     }

@@ -94,7 +94,29 @@ TEST(MeanField, ImitationConvergesToDefectionOnTheDonationGame) {
   EXPECT_NEAR(fixed.state[1], 1.0, 1e-6);  // all-defect
 }
 
+// A 2-state kernel whose probabilities sum to 0.7, and one that leaves the
+// state space: kernel_table refuses both, so the mean-field limit must too.
+class sub_stochastic_protocol final : public protocol {
+ public:
+  [[nodiscard]] std::size_t num_states() const override { return 2; }
+  [[nodiscard]] std::vector<outcome> outcome_distribution(
+      agent_state /*initiator*/, agent_state responder) const override {
+    return {{1, responder, 0.7}};
+  }
+};
+
+class out_of_range_protocol final : public protocol {
+ public:
+  [[nodiscard]] std::size_t num_states() const override { return 2; }
+  [[nodiscard]] std::vector<outcome> outcome_distribution(
+      agent_state initiator, agent_state /*responder*/) const override {
+    return {{initiator, 2, 1.0}};
+  }
+};
+
 TEST(MeanField, RejectsBadStates) {
+  EXPECT_THROW(mean_field_ode{sub_stochastic_protocol{}}, invariant_error);
+  EXPECT_THROW(mean_field_ode{out_of_range_protocol{}}, invariant_error);
   const mean_field_ode ode(rumor_protocol{});
   EXPECT_THROW((void)ode.drift({0.5}), invariant_error);
   EXPECT_THROW((void)integrate_mean_field(ode, {0.7, 0.7}, 0.01, 1),

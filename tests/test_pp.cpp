@@ -1,4 +1,4 @@
-// Tests for the population-protocol engine: populations, schedulers, and
+// Tests for the population-protocol engine: census views, schedulers, and
 // the simulator loop.
 #include <gtest/gtest.h>
 
@@ -6,44 +6,22 @@
 #include <set>
 
 #include "ppg/pp/engine.hpp"
-#include "ppg/pp/population.hpp"
 #include "ppg/pp/scheduler.hpp"
 #include "ppg/util/error.hpp"
 
 namespace ppg {
 namespace {
 
-TEST(Population, CountsMaintainedIncrementally) {
-  population pop({0, 1, 1, 2, 2, 2}, 3);
-  EXPECT_EQ(pop.size(), 6u);
-  EXPECT_EQ(pop.count(0), 1u);
-  EXPECT_EQ(pop.count(1), 2u);
-  EXPECT_EQ(pop.count(2), 3u);
-  pop.set_state(0, 2);
-  EXPECT_EQ(pop.count(0), 0u);
-  EXPECT_EQ(pop.count(2), 4u);
-  EXPECT_EQ(pop.state_of(0), 2u);
-}
-
-TEST(Population, SelfAssignmentIsNoop) {
-  population pop({0, 0}, 1);
-  pop.set_state(0, 0);
-  EXPECT_EQ(pop.count(0), 2u);
-}
-
-TEST(Population, FractionsSumToOne) {
-  const population pop({0, 1, 1, 1}, 2);
-  const auto f = pop.fractions();
-  EXPECT_DOUBLE_EQ(f[0], 0.25);
-  EXPECT_DOUBLE_EQ(f[1], 0.75);
-}
-
-TEST(Population, BoundsChecked) {
-  population pop({0, 1}, 2);
-  EXPECT_THROW((void)pop.state_of(2), invariant_error);
-  EXPECT_THROW(pop.set_state(0, 5), invariant_error);
-  EXPECT_THROW(population({3}, 2), invariant_error);
-  EXPECT_THROW(population({}, 2), invariant_error);
+TEST(CensusView, ViewsCountsAndFractions) {
+  const std::vector<std::uint64_t> counts = {1, 2, 3};
+  const census_view view(counts, 6);
+  EXPECT_EQ(view.population_size(), 6u);
+  EXPECT_EQ(view.num_state_kinds(), 3u);
+  EXPECT_EQ(view.count(2), 3u);
+  EXPECT_DOUBLE_EQ(view.fraction(1), 1.0 / 3.0);
+  const auto f = view.fractions();
+  EXPECT_DOUBLE_EQ(f[0] + f[1] + f[2], 1.0);
+  EXPECT_THROW((void)view.count(3), invariant_error);
 }
 
 TEST(Scheduler, DistinctPairsAreDistinct) {
@@ -115,7 +93,7 @@ class max_protocol final : public protocol {
 
 TEST(Simulator, StepsAdvanceInteractionCount) {
   const max_protocol proto;
-  simulation sim(proto, population({0, 1, 2, 3}, 4), rng(406));
+  simulation sim(proto, {1, 1, 1, 1}, rng(406));
   sim.run(10);
   EXPECT_EQ(sim.interactions(), 10u);
   EXPECT_DOUBLE_EQ(sim.parallel_time(), 2.5);
@@ -123,17 +101,17 @@ TEST(Simulator, StepsAdvanceInteractionCount) {
 
 TEST(Simulator, MaxProtocolConvergesToMaximum) {
   const max_protocol proto;
-  simulation sim(proto, population({0, 1, 2, 3}, 4), rng(407));
+  simulation sim(proto, {1, 1, 1, 1}, rng(407));
   const auto steps = sim.run_until(
       [](const census_view& c) { return c.count(3) == c.population_size(); },
       100000);
   EXPECT_LT(steps, 100000u);
-  EXPECT_EQ(sim.agents().count(3), 4u);
+  EXPECT_EQ(sim.census().count(3), 4u);
 }
 
 TEST(Simulator, RunUntilStopsImmediatelyWhenConverged) {
   const max_protocol proto;
-  simulation sim(proto, population({3, 3, 3}, 4), rng(408));
+  simulation sim(proto, {0, 0, 0, 3}, rng(408));
   const auto steps = sim.run_until(
       [](const census_view& c) { return c.count(3) == c.population_size(); },
       1000);
@@ -145,37 +123,17 @@ TEST(Simulator, CensusPredicateSeesPerAgentConvergence) {
   // per-agent view could express over an anonymous population is a census
   // predicate, evaluated identically on every engine.
   const max_protocol proto;
-  simulation sim(proto, population({0, 1, 2, 3}, 4), rng(412));
+  simulation sim(proto, {1, 1, 1, 1}, rng(412));
   const auto steps = sim.run_until(
       [](const census_view& c) { return c.count(3) == c.population_size(); },
       100000);
   EXPECT_LT(steps, 100000u);
-  EXPECT_EQ(sim.agents().count(3), 4u);
-}
-
-TEST(Population, ApplyInteractionDebugChecksBounds) {
-  population pop({0, 1}, 2);
-#ifndef NDEBUG
-  EXPECT_THROW(pop.apply_interaction(0, 5), invariant_error);
-  EXPECT_THROW(pop.apply_interaction(7, 1), invariant_error);
-#endif
-  pop.apply_interaction(0, 1);
-  EXPECT_EQ(pop.count(1), 2u);
-}
-
-TEST(CensusView, ViewsPopulationCounts) {
-  const population pop({0, 1, 1, 2, 2, 2}, 3);
-  const census_view view(pop);
-  EXPECT_EQ(view.population_size(), 6u);
-  EXPECT_EQ(view.num_state_kinds(), 3u);
-  EXPECT_EQ(view.count(2), 3u);
-  EXPECT_DOUBLE_EQ(view.fraction(1), 1.0 / 3.0);
-  EXPECT_THROW((void)view.count(3), invariant_error);
+  EXPECT_EQ(sim.census().count(3), 4u);
 }
 
 TEST(Simulator, SnapshotsAtRequestedCadence) {
   const max_protocol proto;
-  simulation sim(proto, population({0, 1, 2, 3}, 4), rng(409));
+  simulation sim(proto, {1, 1, 1, 1}, rng(409));
   const auto snaps = sim.run_with_snapshots(25, 10);
   ASSERT_EQ(snaps.size(), 3u);
   EXPECT_EQ(snaps[0].interactions, 10u);
@@ -190,15 +148,15 @@ TEST(Simulator, SnapshotsAtRequestedCadence) {
 
 TEST(Simulator, WithReplacementSelfInteractionIsSafe) {
   const max_protocol proto;
-  simulation sim(proto, population({2, 2}, 4), rng(410),
+  simulation sim(proto, {0, 0, 2, 0}, rng(410),
                  pair_sampling::with_replacement);
   sim.run(1000);  // must not corrupt counts on self pairs
-  EXPECT_EQ(sim.agents().count(2), 2u);
+  EXPECT_EQ(sim.census().count(2), 2u);
 }
 
 TEST(Simulator, RejectsTooSmallPopulations) {
   const max_protocol proto;
-  EXPECT_THROW(simulation(proto, population({0}, 4), rng(411)),
+  EXPECT_THROW(simulation(proto, {1, 0, 0, 0}, rng(411)),
                invariant_error);
 }
 

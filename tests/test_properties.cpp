@@ -181,7 +181,7 @@ TEST(CensusRecorder, RecordsFromSimulation) {
     }
   };
   const id_protocol proto;
-  simulation sim(proto, population({0, 1, 1}, 2), rng(5));
+  simulation sim(proto, {1, 2}, rng(5));
   census_recorder recorder({"s0", "s1"});
   recorder.record(sim);
   sim.run(3);

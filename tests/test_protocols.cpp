@@ -13,14 +13,27 @@
 namespace ppg {
 namespace {
 
-population majority_population(std::size_t x, std::size_t y,
-                               std::size_t blank) {
-  std::vector<agent_state> states;
-  states.insert(states.end(), x, approximate_majority_protocol::state_x);
-  states.insert(states.end(), y, approximate_majority_protocol::state_y);
-  states.insert(states.end(), blank,
-                approximate_majority_protocol::state_blank);
-  return population(std::move(states), 3);
+std::vector<std::uint64_t> majority_counts(std::uint64_t x, std::uint64_t y,
+                                           std::uint64_t blank) {
+  std::vector<std::uint64_t> counts(3, 0);
+  counts[approximate_majority_protocol::state_x] = x;
+  counts[approximate_majority_protocol::state_y] = y;
+  counts[approximate_majority_protocol::state_blank] = blank;
+  return counts;
+}
+
+std::vector<std::uint64_t> all_leaders(std::uint64_t n) {
+  std::vector<std::uint64_t> counts(2, 0);
+  counts[leader_election_protocol::state_leader] = n;
+  return counts;
+}
+
+// One informed agent among n.
+std::vector<std::uint64_t> one_informed(std::uint64_t n) {
+  std::vector<std::uint64_t> counts(2, 0);
+  counts[rumor_protocol::state_susceptible] = n - 1;
+  counts[rumor_protocol::state_informed] = 1;
+  return counts;
 }
 
 TEST(ApproximateMajority, TransitionTable) {
@@ -46,11 +59,11 @@ TEST(ApproximateMajority, TransitionTable) {
 
 TEST(ApproximateMajority, ReachesConsensus) {
   const approximate_majority_protocol proto;
-  simulation sim(proto, majority_population(60, 40, 0), rng(502));
+  simulation sim(proto, majority_counts(60, 40, 0), rng(502));
   const auto steps = sim.run_until(approximate_majority_protocol::has_consensus,
                                    2'000'000);
   ASSERT_LT(steps, 2'000'000u);
-  EXPECT_TRUE(approximate_majority_protocol::has_consensus(sim.agents()));
+  EXPECT_TRUE(approximate_majority_protocol::has_consensus(sim.census()));
 }
 
 TEST(ApproximateMajority, LargeInitialGapElectsMajority) {
@@ -60,11 +73,11 @@ TEST(ApproximateMajority, LargeInitialGapElectsMajority) {
   constexpr int trials = 30;
   for (int t = 0; t < trials; ++t) {
     const approximate_majority_protocol proto;
-    simulation sim(proto, majority_population(80, 20, 0),
+    simulation sim(proto, majority_counts(80, 20, 0),
                    rng(503 + static_cast<std::uint64_t>(t)));
     sim.run_until(approximate_majority_protocol::has_consensus, 2'000'000);
-    if (sim.agents().count(approximate_majority_protocol::state_x) ==
-        sim.agents().size()) {
+    if (sim.census().count(approximate_majority_protocol::state_x) ==
+        sim.census().population_size()) {
       ++x_wins;
     }
   }
@@ -77,7 +90,7 @@ TEST(ApproximateMajority, ConsensusIsFast) {
   running_summary times;
   for (int t = 0; t < 10; ++t) {
     const approximate_majority_protocol proto;
-    simulation sim(proto, majority_population(2 * n / 3, n / 3, 0),
+    simulation sim(proto, majority_counts(2 * n / 3, n / 3, 0),
                    rng(504 + static_cast<std::uint64_t>(t)));
     const auto steps = sim.run_until(
         approximate_majority_protocol::has_consensus, 50'000'000);
@@ -114,25 +127,21 @@ TEST(LeaderElection, TransitionTable) {
 TEST(LeaderElection, AlwaysElectsExactlyOneLeader) {
   const leader_election_protocol proto;
   const std::size_t n = 100;
-  simulation sim(proto,
-                 population(n, leader_election_protocol::state_leader, 2),
-                 rng(506));
+  simulation sim(proto, all_leaders(n), rng(506));
   const auto steps = sim.run_until(
       leader_election_protocol::has_unique_leader, 100'000'000);
   ASSERT_LT(steps, 100'000'000u);
-  EXPECT_EQ(sim.agents().count(leader_election_protocol::state_leader), 1u);
+  EXPECT_EQ(sim.census().count(leader_election_protocol::state_leader), 1u);
 }
 
 TEST(LeaderElection, LeaderCountIsMonotoneNonIncreasing) {
   const leader_election_protocol proto;
-  simulation sim(proto,
-                 population(50, leader_election_protocol::state_leader, 2),
-                 rng(507));
+  simulation sim(proto, all_leaders(50), rng(507));
   std::uint64_t previous = 50;
   for (int i = 0; i < 2000; ++i) {
     sim.step();
     const auto leaders =
-        sim.agents().count(leader_election_protocol::state_leader);
+        sim.census().count(leader_election_protocol::state_leader);
     EXPECT_LE(leaders, previous);
     previous = leaders;
   }
@@ -147,8 +156,7 @@ TEST(LeaderElection, ExpectedQuadraticTimeScale) {
   running_summary times;
   for (int t = 0; t < 10; ++t) {
     const leader_election_protocol proto;
-    simulation sim(proto,
-                   population(n, leader_election_protocol::state_leader, 2),
+    simulation sim(proto, all_leaders(n),
                    rng(508 + static_cast<std::uint64_t>(t)));
     const auto steps = sim.run_until(
         leader_election_protocol::has_unique_leader, 100'000'000);
@@ -174,12 +182,10 @@ TEST(Rumor, TransitionTable) {
 
 TEST(Rumor, SpreadsToEveryone) {
   const rumor_protocol proto;
-  std::vector<agent_state> states(200, rumor_protocol::state_susceptible);
-  states[0] = rumor_protocol::state_informed;
-  simulation sim(proto, population(std::move(states), 2), rng(510));
+  simulation sim(proto, one_informed(200), rng(510));
   const auto steps = sim.run_until(rumor_protocol::all_informed, 10'000'000);
   ASSERT_LT(steps, 10'000'000u);
-  EXPECT_TRUE(rumor_protocol::all_informed(sim.agents()));
+  EXPECT_TRUE(rumor_protocol::all_informed(sim.census()));
 }
 
 TEST(Rumor, CompletionIsNLogNScale) {
@@ -187,9 +193,7 @@ TEST(Rumor, CompletionIsNLogNScale) {
   running_summary times;
   for (int t = 0; t < 10; ++t) {
     const rumor_protocol proto;
-    std::vector<agent_state> states(n, rumor_protocol::state_susceptible);
-    states[0] = rumor_protocol::state_informed;
-    simulation sim(proto, population(std::move(states), 2),
+    simulation sim(proto, one_informed(n),
                    rng(511 + static_cast<std::uint64_t>(t)));
     const auto steps =
         sim.run_until(rumor_protocol::all_informed, 100'000'000);
@@ -203,13 +207,11 @@ TEST(Rumor, CompletionIsNLogNScale) {
 
 TEST(Rumor, InformedCountNeverDecreases) {
   const rumor_protocol proto;
-  std::vector<agent_state> states(50, rumor_protocol::state_susceptible);
-  states[0] = rumor_protocol::state_informed;
-  simulation sim(proto, population(std::move(states), 2), rng(512));
+  simulation sim(proto, one_informed(50), rng(512));
   std::uint64_t previous = 1;
   for (int i = 0; i < 5000; ++i) {
     sim.step();
-    const auto informed = sim.agents().count(rumor_protocol::state_informed);
+    const auto informed = sim.census().count(rumor_protocol::state_informed);
     EXPECT_GE(informed, previous);
     previous = informed;
   }
