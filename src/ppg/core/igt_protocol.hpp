@@ -7,30 +7,24 @@
 //   level j  meets AC or GTFT  ->  level min(j+1, k-1)
 //   level j  meets AD          ->  level max(j-1, 0)
 //
-// Two variants are provided:
-//  - igt_protocol: transitions keyed on the responder's *strategy type*
-//    (the paper's Definition 2.1). Since PR 4 this is a thin specialization
-//    of the generic game_protocol — the compilation of igt_game_matrix with
-//    igt_ladder_rule — kept as the canonical name; a bitwise-equivalence
-//    test against the legacy hand-written transition function lives in
-//    tests/test_game_dynamics.cpp.
-//  - igt_action_protocol: transitions keyed on the responder's *observed
-//    action* in one repeated game (the alternative discussed after
-//    Definition 2.1), compiled exactly; at s1 = 1 it is Definition 2.1.
+// igt_protocol keys transitions on the responder's *strategy type* (the
+// paper's Definition 2.1). It is a thin specialization of the generic
+// game_protocol — the compilation of igt_game_matrix with igt_ladder_rule —
+// kept as the canonical name; a bitwise-equivalence test against the legacy
+// hand-written transition function lives in tests/test_game_dynamics.cpp.
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
 #include "ppg/core/population_config.hpp"
-#include "ppg/games/closed_form.hpp"
 #include "ppg/games/game_protocol.hpp"
 #include "ppg/pp/census.hpp"
 
 namespace ppg {
 
-/// State-encoding helpers shared by both variants (and by igt_game_matrix /
-/// igt_ladder_rule, which follow the same ordering).
+/// State-encoding helpers (igt_game_matrix and igt_ladder_rule follow the
+/// same ordering).
 struct igt_encoding {
   static constexpr agent_state ac = 0;
   static constexpr agent_state ad = 1;
@@ -64,40 +58,8 @@ class igt_protocol final : public game_protocol {
   std::size_t k_;
 };
 
-/// Action-keyed variant: the pair plays one repeated donation game and the
-/// GTFT initiator increments iff the opponent cooperated in a strict
-/// majority of its rounds (2 * col_cooperations > rounds), else decrements.
-/// Non-GTFT initiators and every responder keep their states. The kernel is
-/// built at construction, renormalized over the first R = max(1, ceil(ln
-/// 2^-60 / ln delta)) rounds: truncation error <= delta^R <= 2^-60, below
-/// kernel_table::sample's 2^-53 resolution. That costs O(k^2 R^2) when
-/// s1 < 1 (~30 ms per GTFT pair at delta = 0.98 on a Xeon core, Release).
-/// At s1 = 1 every game is deterministic and the kernel is
-/// igt_protocol(k, one_way)'s.
-class igt_action_protocol final : public protocol {
- public:
-  igt_action_protocol(std::size_t k, rd_setting setting, double g_max);
-
-  [[nodiscard]] std::size_t k() const { return k_; }
-  [[nodiscard]] std::size_t num_states() const override { return 2 + k_; }
-
-  [[nodiscard]] std::vector<outcome> outcome_distribution(
-      agent_state initiator, agent_state responder) const override;
-
-  [[nodiscard]] std::string state_name(agent_state state) const override;
-
-  /// The memory-one strategy an encoded state plays.
-  [[nodiscard]] memory_one_strategy strategy_of(agent_state state) const;
-
- private:
-  std::size_t k_;
-  rd_setting setting_;
-  std::vector<double> grid_;
-  std::vector<std::vector<outcome>> kernel_;  ///< q*q compiled distributions
-};
-
-/// The initial census of an (alpha, beta, gamma) population under either
-/// IGT protocol: num_ac agents in AC, num_ad in AD and every GTFT agent at
+/// The initial census of an (alpha, beta, gamma) population under
+/// igt_protocol: num_ac agents in AC, num_ad in AD and every GTFT agent at
 /// generosity `level` (in {0, ..., k-1}), over the 2 + k states of
 /// igt_encoding. Throws ppg::invariant_error on an invalid population,
 /// k < 2 or level >= k.
@@ -105,8 +67,8 @@ class igt_action_protocol final : public protocol {
     const abg_population& pop, std::size_t k, std::size_t level);
 
 /// Extracts the GTFT level census (length-k count vector, the z_t of the
-/// paper) from the census of a simulation run under either IGT protocol —
-/// any engine's census().
+/// paper) from the census of a simulation run under igt_protocol — any
+/// engine's census().
 [[nodiscard]] std::vector<std::uint64_t> gtft_level_counts(
     const census_view& agents, std::size_t k);
 

@@ -8,6 +8,7 @@
 namespace ppg {
 
 void empirical_cdf::add(double x) {
+  PPG_CHECK(!std::isnan(x), "empirical_cdf requires non-NaN samples");
   samples_.push_back(x);
   sorted_ = false;
 }
@@ -58,23 +59,6 @@ double empirical_cdf::max() const {
 const std::vector<double>& empirical_cdf::sorted_samples() const {
   ensure_sorted();
   return samples_;
-}
-
-histogram empirical_cdf::binned(std::size_t bins, double lo, double hi) const {
-  PPG_CHECK(bins > 0, "binned needs at least one bucket");
-  PPG_CHECK(lo < hi, "binned requires lo < hi");
-  histogram h(bins);
-  const double width = (hi - lo) / static_cast<double>(bins);
-  const double top = static_cast<double>(bins - 1);
-  for (const double x : samples_) {
-    PPG_CHECK(!std::isnan(x), "binned requires non-NaN samples");
-    // Clamp before the integer cast: a float-to-integer conversion of an
-    // out-of-range value is undefined behavior.
-    const double raw = std::floor((x - lo) / width);
-    const double clamped = std::max(0.0, std::min(raw, top));
-    h.add(static_cast<std::size_t>(clamped));
-  }
-  return h;
 }
 
 }  // namespace ppg

@@ -1,12 +1,10 @@
-// Empirical distribution of a scalar sample: exact quantiles, CDF
-// evaluation, and fixed-range binning. Used by the batch engine to summarize
-// per-replica scalars (convergence times, payoffs) beyond mean/CI.
+// Empirical distribution of a scalar sample: exact quantiles and CDF
+// evaluation. Used by the batch engine to summarize per-replica scalars
+// (convergence times, payoffs) beyond mean/CI.
 #pragma once
 
 #include <cstddef>
 #include <vector>
-
-#include "ppg/stats/histogram.hpp"
 
 namespace ppg {
 
@@ -17,6 +15,8 @@ namespace ppg {
 /// insertions pays one O(n log n) sort.
 class empirical_cdf {
  public:
+  /// Requires x not NaN: NaN has no place in the order that every query
+  /// reads.
   void add(double x);
 
   /// Merges another sample set into this one.
@@ -36,10 +36,6 @@ class empirical_cdf {
 
   /// Samples in ascending order.
   [[nodiscard]] const std::vector<double>& sorted_samples() const;
-
-  /// Bins the samples into `bins` equal-width buckets over [lo, hi]; samples
-  /// outside the range are clamped to the edge buckets. Requires lo < hi.
-  [[nodiscard]] histogram binned(std::size_t bins, double lo, double hi) const;
 
  private:
   void ensure_sorted() const;

@@ -5,10 +5,10 @@
 // runs exactly once and that wait_idle() observes all side effects; (2) zero
 // dependencies beyond <thread>; (3) graceful teardown (the destructor drains
 // the queue). There is no work stealing or task batching: every caller
-// submits coarse tasks — batch_runner and resumable sweeps one per worker,
-// not one per replica, and the ppg-serve scheduler one per advance slice —
-// so queue overhead is negligible. Tasks always own whole engines: no
-// single trajectory is ever split across threads.
+// submits coarse tasks — batch_runner one per worker, not one per replica,
+// and the ppg-serve scheduler one per advance slice — so queue overhead is
+// negligible. Tasks always own whole engines: no single trajectory is ever
+// split across threads.
 #pragma once
 
 #include <condition_variable>

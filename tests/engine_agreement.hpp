@@ -32,8 +32,8 @@ inline std::vector<double> replica_statistics(
   return out;
 }
 
-/// Two-sample chi-square homogeneity test on scalar samples, binned at the
-/// pooled quantiles; returns the upper-tail p-value.
+/// Two-sample chi-square homogeneity test on scalar samples, with bin edges
+/// at the pooled quantiles; returns the upper-tail p-value.
 inline double two_sample_p(const std::vector<double>& a,
                            const std::vector<double>& b, std::size_t bins) {
   std::vector<double> pooled = a;

@@ -1,18 +1,13 @@
 // Tests for the k-IGT dynamics: the Definition 2.1 transition table, the
-// initial census construction, the count-chain reduction (equation (5)), and
-// the action-keyed variant.
+// initial census construction and the count-chain reduction (equation (5)).
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <numeric>
 #include <string>
 
 #include "ppg/core/igt_count_chain.hpp"
 #include "ppg/core/igt_protocol.hpp"
-#include "ppg/games/mean_field.hpp"
-#include "ppg/games/rollout.hpp"
 #include "ppg/pp/engine.hpp"
-#include "ppg/stats/chi_square.hpp"
 #include "ppg/stats/empirical.hpp"
 #include "ppg/util/error.hpp"
 
@@ -189,169 +184,6 @@ TEST(IgtMixingBounds, OrderAndPositivity) {
   EXPECT_GT(igt_mixing_lower_bound(pop, 8), 0.0);
   EXPECT_GT(igt_mixing_upper_bound(pop, 8),
             igt_mixing_lower_bound(pop, 8));
-}
-
-TEST(IgtActionProtocol, HighDeltaMatchesTypeKeyedTransitions) {
-  // At s1 = 1 the opponent's majority action always reveals its type, so
-  // the action-keyed kernel agrees with Definition 2.1 on every draw.
-  const rd_setting setting{3.0, 1.0, 0.98, 1.0};
-  const igt_action_protocol action_proto(4, setting, 0.4);
-  const igt_protocol type_proto(4);
-  const kernel_table type_kernel(type_proto);
-  const kernel_table action_kernel(action_proto);
-  rng gen(606);
-  int agreements = 0;
-  constexpr int trials = 400;
-  for (int i = 0; i < trials; ++i) {
-    const agent_state init =
-        igt_encoding::gtft(static_cast<std::size_t>(1 + (i % 2)));
-    const agent_state resp =
-        (i % 3 == 0) ? igt_encoding::ac
-                     : (i % 3 == 1 ? igt_encoding::ad
-                                   : igt_encoding::gtft(3));
-    const auto expected = type_kernel.sample(init, resp, gen).first;
-    const auto actual = action_kernel.sample(init, resp, gen).first;
-    if (expected == actual) ++agreements;
-  }
-  EXPECT_GT(agreements, trials * 9 / 10);
-}
-
-TEST(IgtActionProtocol, StrategyLowering) {
-  const rd_setting setting{3.0, 1.0, 0.9, 0.7};
-  const igt_action_protocol proto(3, setting, 0.6);
-  EXPECT_DOUBLE_EQ(
-      proto.strategy_of(igt_encoding::ac).initial_cooperation, 1.0);
-  EXPECT_DOUBLE_EQ(
-      proto.strategy_of(igt_encoding::ad).initial_cooperation, 0.0);
-  const auto mid = proto.strategy_of(igt_encoding::gtft(1));
-  EXPECT_DOUBLE_EQ(mid.response(game_state::dd), 0.3);  // g_2 = 0.6/2
-  EXPECT_DOUBLE_EQ(mid.initial_cooperation, 0.7);
-}
-
-TEST(IgtActionProtocol, StateNamesAreRangeChecked) {
-  const igt_action_protocol proto(3, rd_setting{}, 0.6);
-  EXPECT_EQ(proto.state_name(igt_encoding::ad), "AD");
-  EXPECT_EQ(proto.state_name(igt_encoding::gtft(2)), "g3=0.600");
-  EXPECT_THROW((void)proto.state_name(igt_encoding::gtft(3)),
-               invariant_error);
-}
-
-/// P(the kernel moves `init` up against `resp`): the mass on the outcome
-/// whose initiator sits one level higher (or stays at the top level).
-double kernel_up_probability(const igt_action_protocol& proto,
-                             agent_state init, agent_state resp) {
-  const std::size_t level = igt_encoding::level(init);
-  const agent_state higher =
-      igt_encoding::gtft(std::min(level + 1, proto.k() - 1));
-  double up = 0.0;
-  for (const auto& o : proto.outcome_distribution(init, resp)) {
-    if (o.initiator == higher) up += o.probability;
-  }
-  return up;
-}
-
-/// p-value of `trials` play_repeated_game rollouts, classified by a strict
-/// (or, for the power check, weak) majority of the responder's
-/// cooperations, against the kernel's P(up).
-double rollout_p_value(const igt_action_protocol& proto,
-                       const rd_setting& setting, agent_state init,
-                       agent_state resp, bool weak_majority,
-                       std::uint64_t seed) {
-  constexpr std::uint64_t trials = 20'000;
-  rng gen(seed);
-  std::uint64_t ups = 0;
-  for (std::uint64_t t = 0; t < trials; ++t) {
-    const rollout_result game =
-        play_repeated_game(setting.to_game(), proto.strategy_of(init),
-                           proto.strategy_of(resp), gen);
-    const std::uint64_t lead = 2 * game.col_cooperations;
-    ups += (weak_majority ? lead >= game.rounds : lead > game.rounds) ? 1 : 0;
-  }
-  const double p = kernel_up_probability(proto, init, resp);
-  return chi_square_gof({ups, trials - ups}, {p, 1.0 - p}).p_value;
-}
-
-TEST(IgtActionProtocol, KernelMatchesRepeatedGameRollouts) {
-  // s1 = 0.5, so each GTFT pair's game is genuinely random. The exact
-  // kernel must pass a chi-square test against independent rollouts for
-  // every GTFT pair at each delta, and rollouts scored by a weak majority
-  // (2c >= rounds) must fail it wherever a tie is possible (delta > 0).
-  // Seeds are fixed and the level is split over the 3 x 4 accepting tests,
-  // so the outcome is deterministic.
-  constexpr std::size_t k = 2;
-  constexpr double per_test_level = 0.01 / 12;
-  std::uint64_t seed = 611;
-  for (const double delta : {0.0, 0.9, 0.98}) {
-    const rd_setting setting{3.0, 1.0, delta, 0.5};
-    const igt_action_protocol proto(k, setting, 0.3);
-    for (std::size_t i = 0; i < k; ++i) {
-      for (std::size_t r = 0; r < k; ++r) {
-        SCOPED_TRACE("delta=" + std::to_string(delta) + " levels " +
-                     std::to_string(i) + " vs " + std::to_string(r));
-        const agent_state init = igt_encoding::gtft(i);
-        const agent_state resp = igt_encoding::gtft(r);
-        EXPECT_GT(rollout_p_value(proto, setting, init, resp, false, ++seed),
-                  per_test_level);
-        if (delta > 0.0) {
-          EXPECT_LT(rollout_p_value(proto, setting, init, resp, true, ++seed),
-                    per_test_level);
-        }
-      }
-      // The fixed strategies make the vote deterministic at any s1.
-      const agent_state init = igt_encoding::gtft(i);
-      EXPECT_EQ(kernel_up_probability(proto, init, igt_encoding::ac), 1.0);
-      EXPECT_EQ(kernel_up_probability(proto, init, igt_encoding::ad), 0.0);
-    }
-  }
-}
-
-TEST(IgtActionProtocol, AtFullInitialCooperationIsDefinition21) {
-  // With s1 = 1 a GTFT pair cooperates in every round, so the observed vote
-  // is the opponent's type: the kernel is igt_protocol's, pair for pair,
-  // and the agent engine draws identical trajectories from the two.
-  constexpr std::size_t k = 4;
-  const igt_action_protocol action_proto(k, rd_setting{3.0, 1.0, 0.9, 1.0},
-                                         0.4);
-  const igt_protocol type_proto(k, igt_discipline::one_way);
-  for (agent_state i = 0; i < 2 + k; ++i) {
-    for (agent_state r = 0; r < 2 + k; ++r) {
-      const auto actual = action_proto.outcome_distribution(i, r);
-      const auto expected = type_proto.outcome_distribution(i, r);
-      ASSERT_EQ(actual.size(), expected.size());
-      for (std::size_t o = 0; o < actual.size(); ++o) {
-        EXPECT_EQ(actual[o].initiator, expected[o].initiator);
-        EXPECT_EQ(actual[o].responder, expected[o].responder);
-        EXPECT_EQ(actual[o].probability, expected[o].probability);
-      }
-    }
-  }
-  const auto pop = abg_population::from_fractions(60, 0.2, 0.3, 0.5);
-  const auto counts = igt_initial_counts(pop, k, 1);
-  simulation action_sim(action_proto, counts, rng(612));
-  simulation type_sim(type_proto, counts, rng(612));
-  for (int chunk = 0; chunk < 20; ++chunk) {
-    action_sim.run(500);
-    type_sim.run(500);
-    ASSERT_EQ(action_sim.save_state(), type_sim.save_state());
-  }
-}
-
-TEST(IgtActionProtocol, RunsOnEveryEngineAndFeedsTheMeanField) {
-  const std::size_t k = 3;
-  const igt_action_protocol proto(k, rd_setting{3.0, 1.0, 0.5, 0.5}, 0.3);
-  const auto pop = abg_population::from_fractions(200, 0.2, 0.2, 0.6);
-  const sim_spec spec(proto, igt_initial_counts(pop, k, 0));
-  rng gen(613);
-  for (const auto kind : {engine_kind::agent, engine_kind::census,
-                          engine_kind::batched, engine_kind::multibatch}) {
-    const auto engine = spec.make_engine(kind, gen);
-    engine->run(2000);
-    EXPECT_EQ(engine->interactions(), 2000u);
-    const auto z = gtft_level_counts(engine->census(), k);
-    EXPECT_EQ(std::accumulate(z.begin(), z.end(), std::uint64_t{0}),
-              pop.num_gtft);
-  }
-  EXPECT_EQ(mean_field_ode(proto).dimension(), 2 + k);
 }
 
 // The reduction of Section 2.2.1: empirical transition frequencies of the

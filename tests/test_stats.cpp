@@ -1,5 +1,5 @@
-// Tests for the statistics layer: summaries, histograms, empirical
-// comparisons, chi-square goodness of fit, and closed-form distributions.
+// Tests for the statistics layer: summaries, empirical comparisons,
+// chi-square goodness of fit, and closed-form distributions.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -8,7 +8,6 @@
 #include "ppg/stats/discrete_sampling.hpp"
 #include "ppg/stats/distributions.hpp"
 #include "ppg/stats/empirical.hpp"
-#include "ppg/stats/histogram.hpp"
 #include "ppg/stats/summary.hpp"
 #include "ppg/util/error.hpp"
 
@@ -72,41 +71,6 @@ TEST(Summary, CiShrinksWithSamples) {
   for (int i = 0; i < 100; ++i) small.add(gen.next_double());
   for (int i = 0; i < 10000; ++i) large.add(gen.next_double());
   EXPECT_LT(large.ci_half_width(), small.ci_half_width());
-}
-
-TEST(Histogram, CountsAndNormalization) {
-  histogram h(3);
-  h.add(0);
-  h.add(1, 3);
-  h.add(2);
-  EXPECT_EQ(h.total(), 5u);
-  const auto p = h.normalized();
-  EXPECT_DOUBLE_EQ(p[0], 0.2);
-  EXPECT_DOUBLE_EQ(p[1], 0.6);
-  EXPECT_DOUBLE_EQ(p[2], 0.2);
-}
-
-TEST(Histogram, OutOfRangeThrows) {
-  histogram h(2);
-  EXPECT_THROW(h.add(2), invariant_error);
-  EXPECT_THROW((void)h.count(5), invariant_error);
-}
-
-TEST(Histogram, ClearResets) {
-  histogram h(2);
-  h.add(0);
-  h.clear();
-  EXPECT_EQ(h.total(), 0u);
-  EXPECT_THROW((void)h.normalized(), invariant_error);
-}
-
-TEST(Histogram, AsciiBarsRenderEveryBucket) {
-  histogram h(3);
-  h.add(0, 10);
-  h.add(2, 5);
-  const auto bars = h.ascii_bars(10);
-  EXPECT_NE(bars.find("[0]"), std::string::npos);
-  EXPECT_NE(bars.find("[2]"), std::string::npos);
 }
 
 TEST(Empirical, TotalVariationKnownValues) {
